@@ -220,7 +220,6 @@ Result RunLoop(const Args& args) {
   util::parallel::ScopedComputePool scope(&pool);
   out.pool_threads = workers;
   const double t_start = NowSeconds();
-  RegistryDelta whole;
 
   // --- Set-up: bootstrap a fresh pipeline several times ------------------
   std::vector<double> setup_s, generate_s;
@@ -430,7 +429,6 @@ Result RunLoop(const Args& args) {
   }
 
   // --- Traced run: layer rows on the writer's timeline --------------------
-  whole.Close();
   const double wall = NowSeconds() - t_start;
   std::vector<double> train_s, publish_s, reload_s;
   double run_train = 0, run_publish = 0;
