@@ -10,7 +10,7 @@
 // of the metrics registry around the calls the workload makes. Every run
 // prints, in order: notes (the per-layer table on traced runs), one
 // `{"stamp": ...}` line (build environment, nproc, work-root filesystem,
-// host-drift probe) and, as the last line, the result object
+// scalar and fork-join host probes) and, as the last line, the result object
 // {"correct", "attempted", "failed", "metrics"}.
 
 #include <sys/statfs.h>
@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench.h"
 #include "bench/bench_env.h"
@@ -96,6 +97,36 @@ double DriftProbeMs() {
   return ms;
 }
 
+// Fork-join probe: fixed rounds of a parallel loop over one short scalar
+// block per pool worker. The scalar probe runs on one core and misses a
+// box whose cores are shared or slow to wake; this one, like training's
+// many small parallel regions, does not. Reported, never gated.
+double ForkJoinProbeMs(int threads) {
+  layergcn::util::ThreadPool pool(threads);
+  layergcn::util::parallel::ScopedComputePool scope(&pool);
+  std::vector<uint64_t> sink(static_cast<size_t>(threads));
+  const double t0 = perfbench::NowSeconds();
+  for (uint64_t round = 0; round < 2000; ++round) {
+    layergcn::util::parallel::For(
+        threads,
+        [&](int64_t lo, int64_t hi) {
+          for (int64_t b = lo; b < hi; ++b) {
+            uint64_t x = round + static_cast<uint64_t>(b) + 1;
+            for (int i = 0; i < 20'000; ++i) {
+              x ^= x << 13;
+              x ^= x >> 7;
+              x ^= x << 17;
+            }
+            sink[static_cast<size_t>(b)] += x;
+          }
+        },
+        1);
+  }
+  const double ms = (perfbench::NowSeconds() - t0) * 1e3;
+  if (sink[0] == 42) std::fprintf(stderr, "fork-join probe: 42\n");
+  return ms;
+}
+
 std::string FsType(const std::string& path) {
   struct statfs s;
   if (statfs(path.c_str(), &s) != 0) return "unknown";
@@ -142,6 +173,7 @@ int main(int argc, char** argv) {
   layergcn::util::SetLogLevel(layergcn::util::LogLevel::kWarning);
 
   const double drift_before = DriftProbeMs();
+  const double forkjoin_before = ForkJoinProbeMs(args.nproc);
   Result r;
   if (args.workload == "train") {
     r = perfbench::RunTrain(args);
@@ -153,6 +185,7 @@ int main(int argc, char** argv) {
     Usage(("unknown workload " + args.workload).c_str());
   }
   const double drift_after = DriftProbeMs();
+  const double forkjoin_after = ForkJoinProbeMs(args.nproc);
   // Stamp the compute-pool width the workload ran at.
   std::string env_member;
   {
@@ -177,11 +210,13 @@ int main(int argc, char** argv) {
       "{\"stamp\": {%s \"workload\": \"%s\", \"seed\": %llu, "
       "\"trace\": %d, \"nproc\": %d, \"work_root_fs\": \"%s\", "
       "\"drift_before_ms\": %.3f, \"drift_after_ms\": %.3f, "
-      "\"drift_ratio\": %.4f}}\n",
+      "\"drift_ratio\": %.4f, \"forkjoin_before_ms\": %.3f, "
+      "\"forkjoin_after_ms\": %.3f}}\n",
       env_member.c_str(), args.workload.c_str(),
       static_cast<unsigned long long>(args.seed), args.trace ? 1 : 0,
       args.nproc, fs.c_str(), drift_before, drift_after,
-      drift_before > 0.0 ? drift_after / drift_before : 0.0);
+      drift_before > 0.0 ? drift_after / drift_before : 0.0, forkjoin_before,
+      forkjoin_after);
 
   bool finite = true;
   std::string metrics;

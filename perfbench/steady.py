@@ -2,15 +2,17 @@
 """Steadiness check: is every end-to-end metric repeatable within its bound?
 
     python3 perfbench/steady.py [--runs 10] [--workloads train,serve,loop]
-                                [--first-seed 101] [--seconds S]
+                                [--first-seed 101]
 
 Runs each workload --runs times, alternating workloads run by run, each
-run with its own seed, through perfbench/run.py with tracing off. For
-every end-to-end metric it prints the median, the inter-quartile range
-(statistics.quantiles(values, n=4)) as a share of the median, the
-(max - min) / median spread, and the bound BENCHMARK.json fixes for the
-metric. A metric other than setup_s whose IQR share exceeds its bound
-fails; one above a third of its bound is flagged as not yet steady.
+run with its own seed and BENCHMARK.json's run_seconds, through
+perfbench/run.py with tracing off. For every end-to-end metric it prints
+the median, the inter-quartile range (statistics.quantiles(values, n=4))
+as a share of the median, the (max - min) / median spread, and the bound
+BENCHMARK.json fixes for the metric. A metric whose IQR share exceeds its
+bound fails; one above a third of its bound is flagged as not yet steady.
+Each run's host probes (scalar drift ratio, fork-join times) are printed
+beside its metrics and summarised per workload, never gated.
 Failed or incorrect runs fail the check. Exit code 0 when nothing failed.
 """
 
@@ -42,17 +44,18 @@ def main():
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--workloads", default="")
     p.add_argument("--first-seed", type=int, default=101)
-    p.add_argument("--seconds", type=float, default=0)
     args = p.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = ([w for w in args.workloads.split(",") if w] or
                  [w["name"] for w in spec["workloads"]])
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
 
     values = {w: {} for w in workloads}
-    drift = {w: [] for w in workloads}
+    # Host probes from each run's stamp: reported, never gated.
+    probes = ("drift_ratio", "forkjoin_before_ms", "forkjoin_after_ms")
+    drift = {w: {k: [] for k in probes} for w in workloads}
     bad = 0
     for i in range(args.runs):
         for w in workloads:
@@ -64,9 +67,12 @@ def main():
                 continue
             for name, m in result["metrics"].items():
                 values[w].setdefault(name, []).append(m["value"])
-            drift[w].append(stamp.get("drift_ratio", 0.0))
+            for k in probes:
+                drift[w][k].append(stamp.get(k, 0.0))
             print(f"{w} seed {seed}: " + ", ".join(
-                f"{n}={m['value']:.6g}" for n, m in result["metrics"].items()),
+                f"{n}={m['value']:.6g}" for n, m in result["metrics"].items())
+                + " | " + ", ".join(f"{k}={stamp.get(k, 0.0):.4g}"
+                                    for k in probes),
                 flush=True)
 
     print(f"\n{'workload':8} {'metric':14} {'n':>3} {'median':>12} "
@@ -84,8 +90,6 @@ def main():
             if bound is None:
                 verdict = "NO BOUND"
                 bad += 1
-            elif name == "setup_s":
-                verdict = "ok (setup: spread not gated)"
             elif iqr > bound:
                 verdict = "FAIL: iqr over bound"
                 bad += 1
@@ -96,10 +100,11 @@ def main():
             print(f"{w:8} {name:14} {len(vals):3d} {med:12.6g} {iqr:8.4f} "
                   f"{rng:9.4f} {bound if bound is not None else '-':>6}  "
                   f"{verdict}")
-        if drift[w]:
-            print(f"{w:8} {'(host drift)':14} {len(drift[w]):3d} "
-                  f"{statistics.median(drift[w]):12.4f}  "
-                  f"min {min(drift[w]):.4f} max {max(drift[w]):.4f}")
+        for k, vals in drift[w].items():
+            if vals:
+                print(f"{w:8} ({k}) {len(vals):3d} "
+                      f"{statistics.median(vals):12.4f}  "
+                      f"min {min(vals):.4f} max {max(vals):.4f}")
     sys.exit(1 if bad else 0)
 
 

@@ -18,13 +18,14 @@
 // runs on (reads score on the reader thread itself).
 //
 // End-to-end: setup_s (generate + Start + bootstrap ingest + first cycle,
-// median of three set-ups), freshness_ms (median over cycles of the time
+// median of five set-ups), freshness_ms (median over cycles of the time
 // from the Ingest() that crosses the cadence to the first read stamped
 // with the new version), ingest_eps (events committed / total time inside
-// every Ingest() of the run, bootstraps included), p50_us / p95_us (reads,
-// from due time, median over one-second windows of the per-window
-// quantile; p99 is printed but did not repeat within a tenth), recall20
-// (final snapshot, held-out test events).
+// every Ingest() of the run, bootstraps included), p50_us (reads, from
+// due time, median over one-second windows of the per-window median),
+// recall20 (final snapshot, held-out test events). The tail (windowed p95,
+// p99) is printed but not reported: on a shared host neither repeated
+// within the bound from run to run.
 //
 // Checks: every Ingest() and read succeeds; every cycle publishes the next
 // version and a probe right after it serves that version; the ingestor's
@@ -62,9 +63,9 @@ namespace {
 using namespace layergcn;
 
 constexpr double kScale = 2.0;
-constexpr int kSetups = 3;
-constexpr int64_t kBatch = 2500;    // events per Ingest() call
-constexpr int64_t kCadence = 2500;  // events between cycles
+constexpr int kSetups = 5;
+constexpr int64_t kBatch = 1250;    // events per Ingest() call
+constexpr int64_t kCadence = 1250;  // events between cycles
 constexpr double kReadRps = 500;
 constexpr double kZipfAlpha = 1.3;
 constexpr int kK = 20;
@@ -422,7 +423,6 @@ Result RunLoop(const Args& args) {
     out.Add("ingest_eps", ingest_s > 0 ? ingested / ingest_s : 0.0, "1/s",
             ingested);
     out.Add("p50_us", p50, "us", n_reads);
-    out.Add("p95_us", p95, "us", n_reads);
     out.Add("recall20", recall20, "ratio",
             static_cast<int64_t>(final_ds.test_users.size()));
     return out;

@@ -7,10 +7,11 @@
 // --seed picks the users of the served-ranking check. Threads: one compute
 // pool of nproc workers; the calling thread only waits on it.
 //
-// End-to-end (untraced): setup_s (generate + split + Init, median of three
-// set-ups), epoch_s (median BeginEpoch + TrainEpoch over the epochs after
-// the first), eval_s (median PrepareEval + test ranking), recall20 (test
-// Recall@20, bit-identical at any thread count and on every run).
+// End-to-end (untraced): setup_s (generate + split + Init, median over the
+// job's own set-up and a discarded one after every epoch), epoch_s (median
+// BeginEpoch + TrainEpoch over the epochs after the first), eval_s (median
+// PrepareEval + test ranking), recall20 (test Recall@20, bit-identical at
+// any thread count and on every run).
 //
 // Checks: every epoch loss is finite; repeated evaluations agree exactly;
 // sampled top-20 lists served through RecommendService from a snapshot of
@@ -45,8 +46,7 @@ namespace {
 using namespace layergcn;
 
 constexpr double kScale = 2.0;
-constexpr int kSetups = 3;
-constexpr int kEpochs = 10;
+constexpr int kEpochs = 20;
 constexpr int kEvals = 20;
 constexpr int kParityUsers = 32;
 
@@ -120,34 +120,32 @@ Result RunTrain(const Args& args) {
   util::parallel::ScopedComputePool scope(&pool);
   out.pool_threads = args.nproc;
   const double t_start = NowSeconds();
-  RegistryDelta whole;
 
-  // --- Set-up: generate, split, Init (several times; median reported) ---
+  // --- Set-up: generate, split, Init -------------------------------------
   const data::SyntheticConfig cfg = data::YelpLikeConfig(kScale);
   const train::TrainConfig tc = Config();
+  std::vector<double> setup_s, generate_s, build_s;
+  auto set_up = [&](std::unique_ptr<data::Dataset>* ds,
+                    std::unique_ptr<core::LayerGcn>* model, util::Rng* rng) {
+    const double t0 = NowSeconds();
+    std::vector<data::Interaction> inter =
+        data::GenerateInteractions(cfg, kDataSeed);
+    const double t1 = NowSeconds();
+    *ds = std::make_unique<data::Dataset>(data::ChronologicalSplitDataset(
+        cfg.name, cfg.num_users, cfg.num_items, std::move(inter)));
+    *model = std::make_unique<core::LayerGcn>();
+    (*model)->Init(**ds, tc, rng);
+    const double t2 = NowSeconds();
+    generate_s.push_back(t1 - t0);
+    build_s.push_back(t2 - t1);
+    setup_s.push_back(t2 - t0);
+  };
   std::unique_ptr<data::Dataset> ds;
   std::unique_ptr<core::LayerGcn> model;
   // Initial parameters, BPR sampling and DegreeDrop draws all follow
   // kDataSeed: every run does the same work and recall20 repeats exactly.
   util::Rng rng(kDataSeed);
-  std::vector<double> setup_s, generate_s, build_s;
-  for (int s = 0; s < kSetups; ++s) {
-    model.reset();
-    ds.reset();
-    const double t0 = NowSeconds();
-    std::vector<data::Interaction> inter =
-        data::GenerateInteractions(cfg, kDataSeed);
-    const double t1 = NowSeconds();
-    ds = std::make_unique<data::Dataset>(data::ChronologicalSplitDataset(
-        cfg.name, cfg.num_users, cfg.num_items, std::move(inter)));
-    model = std::make_unique<core::LayerGcn>();
-    rng = util::Rng(kDataSeed);
-    model->Init(*ds, tc, &rng);
-    const double t2 = NowSeconds();
-    generate_s.push_back(t1 - t0);
-    build_s.push_back(t2 - t1);
-    setup_s.push_back(t2 - t0);
-  }
+  set_up(&ds, &model, &rng);
 
   // --- Training: fixed epochs, no early stopping --------------------------
   // A traced run alternates the epochs after the first between traced and
@@ -155,6 +153,9 @@ Result RunTrain(const Args& args) {
   // layer rows, the untraced ones the reference for the tracing overhead.
   std::vector<double> epoch_s, untraced_s, resample_s;
   double steady_wall = 0.0, untraced_wall = 0.0;
+  // Every traced epoch, and nothing else: the evaluations below run
+  // Propagate too, and must not land in the epoch rows.
+  RegistryDelta training;
   RegistryDelta steady;  // traced epochs after the first
   for (int e = 0; e < kEpochs; ++e) {
     if (e == 1) steady = RegistryDelta();
@@ -168,6 +169,17 @@ Result RunTrain(const Args& args) {
     if (untraced_epoch) obs::SetEnabled(true);
     out.Check(std::isfinite(loss),
               "epoch " + std::to_string(e) + " loss is not finite");
+    {
+      // A discarded set-up after every epoch spreads setup_s's samples
+      // over the run: a host that slows for a few seconds moves few of
+      // them. It records nothing, so the epoch rows stay the epochs'.
+      std::unique_ptr<data::Dataset> other_ds;
+      std::unique_ptr<core::LayerGcn> other_model;
+      util::Rng other_rng(kDataSeed);
+      if (args.trace) obs::SetEnabled(false);
+      set_up(&other_ds, &other_model, &other_rng);
+      if (args.trace) obs::SetEnabled(true);
+    }
     if (e == 0) continue;
     if (untraced_epoch) {
       untraced_s.push_back(t2 - t0);
@@ -179,7 +191,16 @@ Result RunTrain(const Args& args) {
     }
   }
   steady.Close();
+  training.Close();
   const double steady_epochs = static_cast<double>(epoch_s.size());
+  // Every set-up's and epoch's time, so a run the host disturbed part-way
+  // shows.
+  auto list_note = [&out](std::string note, const std::vector<double>& v) {
+    for (const double t : v) note.append(" ").append(std::to_string(t));
+    out.notes.push_back(note);
+  };
+  list_note("set-ups (s):", setup_s);
+  list_note("epochs after the first (s):", epoch_s);
 
   // --- Evaluation: PrepareEval + full test ranking, repeated -------------
   const eval::Evaluator evaluator(ds.get(), {20});
@@ -208,7 +229,8 @@ Result RunTrain(const Args& args) {
   const double check_s = NowSeconds() - t_check;
 
   if (!args.trace) {
-    out.Add("setup_s", Median(setup_s), "s", kSetups);
+    out.Add("setup_s", Median(setup_s), "s",
+            static_cast<int64_t>(setup_s.size()));
     out.Add("epoch_s", Median(epoch_s), "s",
             static_cast<int64_t>(epoch_s.size()));
     out.Add("eval_s", Median(eval_s), "s", kEvals);
@@ -218,7 +240,6 @@ Result RunTrain(const Args& args) {
   }
 
   // --- Traced run: the layer table --------------------------------------
-  whole.Close();
   const double wall = NowSeconds() - t_start;
 
   // Layer rows as disjoint self times. The autograd op spans nest inside
@@ -256,16 +277,14 @@ Result RunTrain(const Args& args) {
   for (double t : build_s) sum_build += t;
   for (double t : prepare_s) sum_prepare += t;
   for (double t : rank_s) sum_rank += t;
-  // graph.resample_s over every traced epoch: BeginEpoch timed outside.
-  const double resample_total = whole.SpanSeconds("train.resample_adjacency");
+  // Epoch rows cover every traced epoch; the untraced epochs record
+  // nothing and stand as one row of their own.
   std::vector<std::pair<std::string, double>> table = {
       {"data.generate_s", sum_generate},
       {"graph.build_s", sum_build},
-      {"graph.resample_s", resample_total},
+      {"graph.resample_s", training.SpanSeconds("train.resample_adjacency")},
   };
-  // Epoch rows come from the whole-run delta; the untraced epochs record
-  // nothing and stand as one row of their own.
-  for (const auto& row : rows_of(whole)) table.push_back(row);
+  for (const auto& row : rows_of(training)) table.push_back(row);
   table.push_back({"core.prepare_eval_s", sum_prepare});
   table.push_back({"eval.rank_s", sum_rank});
   table.push_back({"bench.check_s", check_s});
