@@ -4,6 +4,8 @@
 #ifndef PERFBENCH_BENCH_H_
 #define PERFBENCH_BENCH_H_
 
+#include <time.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdint>
@@ -19,9 +21,9 @@ namespace perfbench {
 /// Seed of every workload's fixed part: its synthetic dataset, and for
 /// train and loop the model's initialisation and training randomness too,
 /// as a benchmark dataset and recipe are fixed. --seed drives the rest
-/// (request streams, the served-ranking sample), so quality and cost
-/// compare across runs instead of following the data; recall20 repeats
-/// exactly.
+/// (request streams, the served-ranking sample), so cost compares across
+/// runs instead of following the data, and the printed Recall@20 of train
+/// and loop repeats exactly.
 constexpr uint64_t kDataSeed = 2023;
 
 struct Args {
@@ -70,6 +72,74 @@ struct Result {
   }
 };
 
+/// A metric of the manifest (BENCHMARK.json): its name and unit.
+struct MetricSpec {
+  const char* name;
+  const char* unit;
+};
+
+/// End-to-end metrics, reported by every workload's untraced run. Each
+/// workload fills them from its own traffic, in CPU time of the whole
+/// process (ProcessCpuSeconds) at the SpeedProbe's reference speed:
+/// setup_s is the median CPU time of one set-up, op_ms the median CPU time
+/// of its unit of work and rate_per_s the units of its second path done
+/// per CPU second (see each workload's header). Raw CPU and wall times
+/// are printed beside them, not reported.
+inline const std::vector<MetricSpec>& EndToEndMetrics() {
+  static const std::vector<MetricSpec> m = {
+      {"setup_s", "s"}, {"op_ms", "ms"}, {"rate_per_s", "1/s"}};
+  return m;
+}
+
+/// Per-layer metrics, reported by every workload's traced run. A layer the
+/// workload does not run reads 0 there (layer_map.json says which layers
+/// each workload runs).
+inline const std::vector<MetricSpec>& PerLayerMetrics() {
+  static const std::vector<MetricSpec> m = {
+      {"data.generate_s", "s"},
+      {"graph.build_s", "s"},
+      {"graph.resample_s", "s"},
+      {"sparse.spmm_s", "s"},
+      {"sparse.spmm_nnz", "count"},
+      {"autograd.forward_s", "s"},
+      {"autograd.backward_s", "s"},
+      {"autograd.rowwise_cosine_s", "s"},
+      {"autograd.gather_scatter_s", "s"},
+      {"tensor.add_n_s", "s"},
+      {"train.sampler_s", "s"},
+      {"train.neg_reject_frac", "ratio"},
+      {"train.adam_s", "s"},
+      {"train.batches", "count"},
+      {"core.prepare_eval_s", "s"},
+      {"eval.rank_s", "s"},
+      {"eval.scores_per_s", "1/s"},
+      {"util.pool_busy_frac", "ratio"},
+      {"util.pool_tasks", "count"},
+      {"serve.admission_us_p50", "us"},
+      {"serve.admission_us_p99", "us"},
+      {"serve.score_us_p50", "us"},
+      {"serve.score_us_p99", "us"},
+      {"serve.candidates_per_req", "count"},
+      {"serve.overload_goodput_rps", "1/s"},
+      {"serve.shed_frac", "ratio"},
+      {"serve.expired_frac", "ratio"},
+      {"serve.limit_mean", "count"},
+      {"serve.cache_hit_frac", "ratio"},
+      {"serve.reload_s", "s"},
+      {"serve.swap_to_served_ms", "ms"},
+      {"pipeline.ingest_us_per_event", "us"},
+      {"pipeline.wal_bytes_per_event", "bytes"},
+      {"pipeline.train_s", "s"},
+      {"pipeline.publish_s", "s"},
+      {"pipeline.publish_retries", "count"},
+      {"pipeline.gate_refusals", "count"},
+      {"obs.trace_overhead_frac", "ratio"},
+      {"obs.hist_p50_gap_us", "us"},
+      {"bench.unattributed_frac", "ratio"},
+  };
+  return m;
+}
+
 Result RunTrain(const Args& args);
 Result RunServe(const Args& args);
 Result RunLoop(const Args& args);
@@ -79,6 +149,69 @@ inline double NowSeconds() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+/// CPU time consumed so far by every thread of this process. On a shared
+/// host the wall clock also counts the time the hypervisor lends a vCPU to
+/// someone else (steal), which moved wall times by up to 2x between runs;
+/// CPU time does not count it, so the end-to-end metrics are CPU costs.
+inline double ProcessCpuSeconds() {
+  timespec t;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &t);
+  return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_nsec) * 1e-9;
+}
+
+/// CPU time consumed so far by the calling thread.
+inline double ThreadCpuSeconds() {
+  timespec t;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t);
+  return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_nsec) * 1e-9;
+}
+
+/// Host-speed probe. CPU time leaves out steal but still follows the speed
+/// of the core: on a shared 4-vCPU host the same scalar loop took 118-128
+/// ms of CPU in one half hour and 82-90 ms in the next (clock boost, busy
+/// hyperthread siblings), and the workloads' CPU costs moved with it by
+/// 25-30%. A workload samples this fixed piece of work (half scalar
+/// arithmetic, half a streaming read of a buffer larger than the caches)
+/// between its operations, and reports its CPU costs times Scale(): costs
+/// at the speed where one probe takes kReferenceS of CPU.
+class SpeedProbe {
+ public:
+  static constexpr double kReferenceS = 0.010;
+
+  SpeedProbe() : buffer_(kWords, 1) {}
+
+  /// Runs the probe once on the calling thread and records its CPU time.
+  void Sample() {
+    const double c0 = ThreadCpuSeconds();
+    uint64_t x = 88172645463325252ull + samples_.size();
+    for (int i = 0; i < 2'000'000; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+    }
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const uint64_t w : buffer_) x += w;
+    }
+    samples_.push_back(ThreadCpuSeconds() - c0);
+    sink_ = sink_ + x;
+  }
+
+  /// kReferenceS over the median probe: multiplies a CPU time measured
+  /// beside the probes into a CPU time at the reference speed.
+  double Scale() const {
+    const double m = Median(samples_);
+    return m > 0.0 ? kReferenceS / m : 0.0;
+  }
+  const std::vector<double>& samples() const { return samples_; }
+
+ private:
+  static constexpr size_t kWords = size_t{1} << 21;  // 16 MiB
+
+  std::vector<uint64_t> buffer_;
+  std::vector<double> samples_;
+  volatile uint64_t sink_ = 0;  // keeps the probe's work observable
+};
 
 /// Deltas of the process-wide metrics registry between two points.
 class RegistryDelta {

@@ -5,13 +5,15 @@
 //             --trace <0|1> --work-dir DIR
 //
 // --trace 0 runs with the program's observability switched off
-// (obs::SetEnabled(false)) and reports the workload's end-to-end metrics;
-// --trace 1 switches it on and reports the per-layer rows, read as deltas
-// of the metrics registry around the calls the workload makes. Every run
-// prints, in order: notes (the per-layer table on traced runs), one
-// `{"stamp": ...}` line (build environment, nproc, work-root filesystem,
-// scalar and fork-join host probes) and, as the last line, the result object
-// {"correct", "attempted", "failed", "metrics"}.
+// (obs::SetEnabled(false)) and reports every end-to-end metric
+// (EndToEndMetrics()); --trace 1 switches it on and reports every
+// per-layer row (PerLayerMetrics()), read as deltas of the metrics
+// registry around the calls the workload makes, 0 for a layer the
+// workload does not run. Every run prints, in order: notes (the per-layer
+// table on traced runs), one `{"stamp": ...}` line (build environment,
+// nproc, work-root filesystem, scalar and fork-join host probes) and, as
+// the last line, the result object {"correct", "attempted", "failed",
+// "metrics"}.
 
 #include <sys/statfs.h>
 
@@ -162,6 +164,44 @@ std::string BenchEnvMember() {
   return s;
 }
 
+// Puts the workload's metrics in the manifest's order and fills in the
+// layers it does not run with 0. A metric outside the manifest, one in the
+// wrong unit, or a missing end-to-end metric is a fault of the benchmark
+// itself and ends the run without a result.
+void Reconcile(bool trace, perfbench::Result* r) {
+  const std::vector<perfbench::MetricSpec>& spec =
+      trace ? perfbench::PerLayerMetrics() : perfbench::EndToEndMetrics();
+  std::vector<perfbench::Metric> ordered;
+  for (const perfbench::MetricSpec& s : spec) {
+    const perfbench::Metric* found = nullptr;
+    for (const perfbench::Metric& m : r->metrics) {
+      if (m.name == s.name) found = &m;
+    }
+    if (found == nullptr && !trace) {
+      std::fprintf(stderr, "perfbench: workload did not report %s\n", s.name);
+      std::exit(3);
+    }
+    if (found != nullptr && found->unit != s.unit) {
+      std::fprintf(stderr, "perfbench: %s reported in %s, not %s\n", s.name,
+                   found->unit.c_str(), s.unit);
+      std::exit(3);
+    }
+    ordered.push_back(found != nullptr
+                          ? *found
+                          : perfbench::Metric{s.name, 0.0, s.unit});
+  }
+  for (const perfbench::Metric& m : r->metrics) {
+    bool listed = false;
+    for (const perfbench::MetricSpec& s : spec) listed |= m.name == s.name;
+    if (!listed) {
+      std::fprintf(stderr, "perfbench: %s is not in the manifest\n",
+                   m.name.c_str());
+      std::exit(3);
+    }
+  }
+  r->metrics = std::move(ordered);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -184,6 +224,7 @@ int main(int argc, char** argv) {
   } else {
     Usage(("unknown workload " + args.workload).c_str());
   }
+  Reconcile(args.trace, &r);
   const double drift_after = DriftProbeMs();
   const double forkjoin_after = ForkJoinProbeMs(args.nproc);
   // Stamp the compute-pool width the workload ran at.
@@ -218,9 +259,11 @@ int main(int argc, char** argv) {
       drift_before > 0.0 ? drift_after / drift_before : 0.0, forkjoin_before,
       forkjoin_after);
 
+  // End-to-end metrics are never 0; per-layer rows may be.
   bool finite = true;
   std::string metrics;
   for (const perfbench::Metric& m : r.metrics) {
+    if (!args.trace && !(m.value > 0.0)) finite = false;
     if (!std::isfinite(m.value)) {
       finite = false;
       continue;

@@ -10,12 +10,14 @@ builds the program's libraries and the benchmark driver from source into
 .bench_build/ (a no-op rebuild afterwards); scratch files go to
 .bench_work/ and are removed when the run ends. The driver's standard
 output is passed through: its last line is the result object
-{"correct", "attempted", "failed", "metrics"}. Build logs go to standard
-error. --selftest builds and runs the self-test of the benchmark's own
-statistics instead.
+{"correct", "attempted", "failed", "metrics"}, whose metrics are checked
+against BENCHMARK.json's end_to_end (--trace 0) or per_layer (--trace 1)
+list. Build logs go to standard error. --selftest builds and runs the
+self-test of the benchmark's own statistics instead.
 """
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -73,7 +75,8 @@ def main():
            "--seed", str(args.seed), "--seconds", str(args.seconds),
            "--trace", str(args.trace), "--work-dir", str(work_dir)]
     try:
-        proc = subprocess.run(cmd, cwd=ROOT, timeout=170)
+        proc = subprocess.run(cmd, cwd=ROOT, timeout=170,
+                              stdout=subprocess.PIPE, text=True)
     except subprocess.TimeoutExpired:
         fail("workload timed out")
     finally:
@@ -82,7 +85,28 @@ def main():
             WORK_ROOT.rmdir()
         except OSError:
             pass
-    sys.exit(proc.returncode)
+    sys.stdout.write(proc.stdout)
+    sys.stdout.flush()
+    if proc.returncode != 0:
+        sys.exit(proc.returncode)
+    check_result(proc.stdout, args.trace)
+
+
+def check_result(stdout, trace):
+    """Fails the run unless its last line reports every metric of the
+    manifest's end_to_end (untraced) or per_layer (traced) list, in its
+    unit, and nothing else."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    want = {m["name"]: m["unit"]
+            for m in spec["per_layer" if trace else "end_to_end"]}
+    lines = stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+        got = {k: v["unit"] for k, v in result["metrics"].items()}
+    except (IndexError, ValueError, KeyError, TypeError):
+        fail("the last line is not a result object")
+    if got != want:
+        fail(f"reported metrics {got} differ from the manifest's {want}")
 
 
 if __name__ == "__main__":

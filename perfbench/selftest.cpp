@@ -47,35 +47,6 @@ void TestQuantile() {
   Expect(SamplesBeyond(999, 0.99) == 9, "999 samples: 9 beyond p99");
 }
 
-std::vector<Completion> Ramp(int n, double start_us, double slope_us) {
-  std::vector<Completion> c;
-  for (int i = 0; i < n; ++i) {
-    c.push_back({i * 0.001, start_us + slope_us * i});
-  }
-  return c;
-}
-
-void TestBacklog() {
-  Expect(!BacklogGrowing({}, 100.0), "no completions: not growing");
-  Expect(!BacklogGrowing(Ramp(7, 100.0, 1000.0), 100.0),
-         "under eight completions cannot show a trend");
-  Expect(!BacklogGrowing(Ramp(400, 200.0, 0.0), 100.0),
-         "flat latency is not growing");
-  Expect(BacklogGrowing(Ramp(400, 200.0, 5.0), 100.0),
-         "latency climbing through the step is growing");
-  Expect(!BacklogGrowing(Ramp(400, 200.0, 0.1), 100.0),
-         "a drift inside the slack is not growing");
-  // Order of arrival in the vector must not matter, only due time.
-  std::vector<Completion> shuffled = Ramp(400, 200.0, 5.0);
-  std::swap(shuffled.front(), shuffled.back());
-  std::swap(shuffled[10], shuffled[390]);
-  Expect(BacklogGrowing(shuffled, 100.0), "sorted by due time first");
-  // A single slow burst in the middle is not a growing backlog.
-  std::vector<Completion> burst = Ramp(400, 200.0, 0.0);
-  for (size_t i = 180; i < 220; ++i) burst[i].latency_us = 9e4;
-  Expect(!BacklogGrowing(burst, 100.0), "mid-step burst is not growth");
-}
-
 void TestWindowed() {
   Expect(WindowedQuantile({}, 1.0, 0.5) == 0.0, "no completions: 0");
   // Four 1 s windows at 100 us, one stalled window at 90 ms: the stall
@@ -104,41 +75,14 @@ void TestWindowed() {
   Expect(Near(WindowedRate(due, 1.0, 4.0), 1000.0),
          "a window with a gap does not move the median rate");
   Expect(WindowedRate(due, 1.0, 0.5) == 0.0, "span shorter than a window");
-}
-
-void TestRungSelection() {
-  const double limit = 1000.0;
-  std::vector<Rung> rungs = {
-      {1000, 1000, 300, 0, false},
-      {2000, 2000, 500, 0, false},
-      {3000, 2990, 900, 0, false},
-      {4000, 3500, 5000, 0, true},
-  };
-  Expect(SelectRung(rungs, limit) == 2, "highest passing rung below failure");
-  Expect(SelectRung({}, limit) == -1, "no rungs: none selected");
-  std::vector<Rung> first_fails = {{1000, 900, 5000, 0, false},
-                                   {2000, 2000, 100, 0, false}};
-  Expect(SelectRung(first_fails, limit) == -1,
-         "a pass above a failure is never credited");
-  std::vector<Rung> shed = {{1000, 1000, 100, 0, false},
-                            {2000, 1999, 100, 1, false}};
-  Expect(SelectRung(shed, limit) == 0, "a single miss fails the rung");
-  std::vector<Rung> backlog = {{1000, 1000, 100, 0, false},
-                               {2000, 2000, 100, 0, true}};
-  Expect(SelectRung(backlog, limit) == 0, "a growing backlog fails the rung");
-  std::vector<Rung> at_limit = {{1000, 1000, 1000, 0, false}};
-  Expect(SelectRung(at_limit, limit) == 0, "p99 equal to the limit passes");
-  const Rung pass{2000, 2000, 100, 0, false};
-  const Rung fail{2000, 1900, 9000, 0, true};
-  Expect(BetterAttempt(fail, pass, limit).p99_us == pass.p99_us,
-         "a retried rung that passes counts as passing");
-  Expect(BetterAttempt(pass, fail, limit).p99_us == pass.p99_us,
-         "a passing first attempt is kept");
-  const Rung fail2{2000, 1800, 12000, 0, true};
-  Expect(BetterAttempt(fail, fail2, limit).p99_us == fail.p99_us,
-         "two failures keep the first attempt");
-  std::vector<Rung> all = {{1, 1, 1, 0, false}, {2, 2, 2, 0, false}};
-  Expect(SelectRung(all, limit) == 1, "every rung passing selects the top");
+  const std::vector<double> rates = WindowRates(due, 1.0, 4.0);
+  Expect(rates.size() == 4 && Near(rates[1], 500.0) && Near(rates[3], 1000.0),
+         "per-window rates in window order, partial window counted as is");
+  Expect(WindowRates(due, 1.0, 0.5).empty(), "no whole window: no rates");
+  const std::vector<double> p50s = WindowQuantiles(ramp, 1.0, 0.5);
+  Expect(p50s.size() == 3 && p50s[0] == 1.0 && p50s[2] == 3.0,
+         "per-window medians in window order");
+  Expect(WindowQuantiles({}, 1.0, 0.5).empty(), "no completions: no windows");
 }
 
 void TestSelfTime() {
@@ -168,9 +112,7 @@ void TestAttribution() {
 
 int main() {
   TestQuantile();
-  TestBacklog();
   TestWindowed();
-  TestRungSelection();
   TestSelfTime();
   TestAttribution();
   std::printf("%d/%d self-test cases passed\n", g_cases - g_failures,

@@ -5,10 +5,9 @@
 //
 //   Quantile       nearest-rank quantile; 0 for an empty sample
 //   Median         Quantile(0.5)
-//   Windowed*      medians over fixed windows of a step, so a stall of the
-//                  host that spoils one window does not move the result
-//   BacklogGrowing whether an open-loop step's queue kept growing
-//   SelectRung     the highest passing rung of a rate ladder
+//   Window*        per-window quantiles and rates over fixed windows of a
+//                  step; Windowed* their medians, so a stall of the host
+//                  that spoils one window does not move the result
 //   SelfTime       a span's duration minus the time its children cover
 //   Attribute      layer rows plus an explicit unattributed remainder
 //
@@ -58,11 +57,11 @@ struct Completion {
 
 /// Splits completions into consecutive windows of about `window_s`
 /// seconds by due time (as many whole windows as the step's span rounds
-/// to, at least one; the remainder joins the last) and returns the median
-/// over windows of each window's q-quantile latency. 0 when empty.
-inline double WindowedQuantile(const std::vector<Completion>& c,
-                               double window_s, double q) {
-  if (c.empty()) return 0.0;
+/// to, at least one; the remainder joins the last) and returns each
+/// non-empty window's q-quantile latency, in window order.
+inline std::vector<double> WindowQuantiles(const std::vector<Completion>& c,
+                                           double window_s, double q) {
+  if (c.empty()) return {};
   double end = 0.0;
   for (const Completion& x : c) end = std::max(end, x.due_s);
   const int64_t windows =
@@ -77,81 +76,37 @@ inline double WindowedQuantile(const std::vector<Completion>& c,
   for (std::vector<double>& v : by_window) {
     if (!v.empty()) per_window.push_back(Quantile(std::move(v), q));
   }
-  return Median(std::move(per_window));
+  return per_window;
 }
 
-/// Median over windows of `window_s` seconds (by due time, within
-/// [0, span_s)) of the per-window rate of the given events: the windowed
-/// counterpart of count / span_s. 0 when span_s < window_s.
-inline double WindowedRate(const std::vector<double>& due_s, double window_s,
-                           double span_s) {
+/// Median over windows of WindowQuantiles: a stall of the host that
+/// spoils one window does not move the result. 0 when empty.
+inline double WindowedQuantile(const std::vector<Completion>& c,
+                               double window_s, double q) {
+  return Median(WindowQuantiles(c, window_s, q));
+}
+
+/// Per-window rate of the given event times over the whole windows of
+/// `window_s` seconds within [0, span_s), in window order; empty when
+/// span_s < window_s.
+inline std::vector<double> WindowRates(const std::vector<double>& t_s,
+                                       double window_s, double span_s) {
   const int64_t windows = static_cast<int64_t>(span_s / window_s);
-  if (windows <= 0) return 0.0;
+  if (windows <= 0) return {};
   std::vector<double> counts(static_cast<size_t>(windows), 0.0);
-  for (double t : due_s) {
+  for (double t : t_s) {
     const int64_t w = static_cast<int64_t>(t / window_s);
     if (w >= 0 && w < windows) counts[static_cast<size_t>(w)] += 1.0;
   }
   for (double& n : counts) n /= window_s;
-  return Median(std::move(counts));
+  return counts;
 }
 
-/// An open-loop step has a growing backlog when requests due late in the
-/// step wait clearly longer than requests due early: the median latency of
-/// the last quarter (by due time) exceeds the first quarter's by more than
-/// `slack_us`. A stable queue keeps the two quarters level however long
-/// the step runs; an overloaded one keeps climbing. Fewer than eight
-/// completions cannot show a trend and count as not growing.
-inline bool BacklogGrowing(std::vector<Completion> c, double slack_us) {
-  if (c.size() < 8) return false;
-  std::sort(c.begin(), c.end(), [](const Completion& a, const Completion& b) {
-    return a.due_s < b.due_s;
-  });
-  const size_t quarter = c.size() / 4;
-  std::vector<double> first, last;
-  for (size_t i = 0; i < quarter; ++i) {
-    first.push_back(c[i].latency_us);
-    last.push_back(c[c.size() - 1 - i].latency_us);
-  }
-  return Median(last) - Median(first) > slack_us;
-}
-
-/// Outcome of one rung of the rate ladder.
-struct Rung {
-  double offered_rps = 0.0;
-  double achieved_rps = 0.0;  // in-time answers per second of the step
-  double p99_us = 0.0;        // latency from due time
-  int64_t misses = 0;         // shed, expired or failed requests
-  bool backlog_growing = false;
-};
-
-/// A rung passes when its p99 is within the limit, its backlog is not
-/// growing and no request missed.
-inline bool RungPasses(const Rung& r, double p99_limit_us) {
-  return r.p99_us <= p99_limit_us && !r.backlog_growing && r.misses == 0;
-}
-
-/// Of two attempts at the same rung, the one that counts: a passing
-/// attempt if there is one (the first such), else the first attempt.
-inline const Rung& BetterAttempt(const Rung& first, const Rung& second,
-                                 double p99_limit_us) {
-  if (RungPasses(first, p99_limit_us) || !RungPasses(second, p99_limit_us)) {
-    return first;
-  }
-  return second;
-}
-
-/// Index of the highest rung that passes, scanning upward and stopping at
-/// the first failure (rungs above a failure are never credited, so one
-/// lucky rung past saturation cannot inflate the result). -1 when the
-/// first rung already fails.
-inline int SelectRung(const std::vector<Rung>& rungs, double p99_limit_us) {
-  int best = -1;
-  for (size_t i = 0; i < rungs.size(); ++i) {
-    if (!RungPasses(rungs[i], p99_limit_us)) break;
-    best = static_cast<int>(i);
-  }
-  return best;
+/// Median over windows of WindowRates: the windowed counterpart of
+/// count / span_s. 0 when span_s < window_s.
+inline double WindowedRate(const std::vector<double>& t_s, double window_s,
+                           double span_s) {
+  return Median(WindowRates(t_s, window_s, span_s));
 }
 
 /// Self time of a span: its total minus the totals of its direct children,

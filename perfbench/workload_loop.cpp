@@ -7,7 +7,7 @@
 // batches of kBatch events and runs a cycle (fine-tune -> gate -> publish
 // -> hot-swap) after every kCadence events. Cycles are count-driven, never
 // timed, and the stream and model are fixed (kDataSeed), so every
-// published model and recall20 repeat exactly. Meanwhile one reader thread
+// published model and its Recall@20 repeat exactly. Meanwhile one reader thread
 // offers kReadRps open-loop reads of Zipf-skewed users (--seed drives
 // them) with the score cache on; the skew puts about two thirds of reads
 // on cached users. The work root lives inside the checkout (.bench_work),
@@ -17,15 +17,18 @@
 // Threads: writer + reader + a compute pool of nproc - 2 that training
 // runs on (reads score on the reader thread itself).
 //
-// End-to-end: setup_s (generate + Start + bootstrap ingest + first cycle,
-// median of five set-ups), freshness_ms (median over cycles of the time
-// from the Ingest() that crosses the cadence to the first read stamped
-// with the new version), ingest_eps (events committed / total time inside
-// every Ingest() of the run, bootstraps included), p50_us (reads, from
-// due time, median over one-second windows of the per-window median),
-// recall20 (final snapshot, held-out test events). The tail (windowed p95,
-// p99) is printed but not reported: on a shared host neither repeated
-// within the bound from run to run.
+// End-to-end, in CPU time at the SpeedProbe's reference speed (one probe
+// per ingest batch, on the writer): setup_s (generate + Start + bootstrap ingest +
+// first cycle, CPU time of the process, median of five set-ups), op_ms
+// (one cycle: CPU time of the process inside RunCycle() less the reader
+// thread's, median over cycles), rate_per_s (reads per CPU second of the
+// reader inside Recommend(): cache hits, misses after each swap, median
+// over one-second windows). Wall-clock figures are printed, not reported:
+// freshness per cycle (the Ingest() that crosses the cadence to the first
+// read stamped with the new version), read latency (windowed p50, p95;
+// p99) and ingest throughput, because on a shared host they followed the
+// host's load and disk from run to run; so is the final snapshot's test
+// Recall@20.
 //
 // Checks: every Ingest() and read succeeds; every cycle publishes the next
 // version and a probe right after it serves that version; the ingestor's
@@ -71,7 +74,7 @@ constexpr double kZipfAlpha = 1.3;
 constexpr int kK = 20;
 
 // The stream and the model are fixed (kDataSeed), so every published model
-// and recall20 repeat exactly across seeds; --seed drives the reads.
+// and its Recall@20 repeat exactly across seeds; --seed drives the reads.
 pipeline::SupervisorOptions Options(const std::string& root) {
   pipeline::SupervisorOptions o;
   o.root_dir = root;
@@ -109,6 +112,7 @@ struct Pipeline {
   std::unique_ptr<pipeline::PipelineSupervisor> sup;
   double generate_s = 0, bootstrap_s = 0, cycle_s = 0;
   double ingest_s = 0;      // inside Ingest() while bootstrapping
+  double cpu_s = 0;  // CPU time of the process over the whole set-up
   int64_t ingested = 0;     // events those calls committed
   double train_s = 0, publish_s = 0;  // bootstrap cycle's stage gauges
 };
@@ -117,6 +121,7 @@ struct Pipeline {
 // Returns false (with the reason in `why`) when any step fails.
 bool Bootstrap(const Args& args, int attempt, Pipeline* p,
                std::vector<data::Interaction>* stream, std::string* why) {
+  const double c0 = ProcessCpuSeconds();
   const double t0 = NowSeconds();
   const data::SyntheticConfig cfg = data::YelpLikeConfig(kScale);
   *stream = data::GenerateInteractions(cfg, kDataSeed);
@@ -154,6 +159,7 @@ bool Bootstrap(const Args& args, int attempt, Pipeline* p,
     *why = st.ToString();
     return false;
   }
+  p->cpu_s = ProcessCpuSeconds() - c0;
   p->generate_s = t1 - t0;
   p->bootstrap_s = t2 - t1;
   p->cycle_s = t3 - t2;
@@ -169,6 +175,7 @@ struct Read {
   bool ok = false;
   bool cached = false;
   uint64_t score_us = 0;
+  double cpu_s = 0;  // the reader thread's CPU time inside Recommend()
 };
 
 struct Cycle {
@@ -177,11 +184,15 @@ struct Cycle {
   uint64_t probe_us = 0;     // probe read finished, serving the version
   int64_t version = 0;
   double train_s = 0, publish_s = 0, reload_s = 0;
+  double cpu_s = 0;  // CPU time of RunCycle(), the reader's taken out
 };
 
 // Open-loop reader: Zipf-skewed users at kReadRps until `stop`.
+// `cpu_s` follows the reader thread's CPU time, so the writer can take the
+// reads out of the process's CPU time.
 std::vector<Read> ReadLoop(serve::RecommendService* service, int32_t users,
-                           uint64_t seed, const std::atomic<bool>* stop) {
+                           uint64_t seed, const std::atomic<bool>* stop,
+                           std::atomic<double>* cpu_s) {
   const util::DiscreteDistribution zipf(util::ZipfWeights(users, kZipfAlpha));
   util::Rng rng(seed);
   std::vector<Read> reads;
@@ -197,8 +208,10 @@ std::vector<Read> ReadLoop(serve::RecommendService* service, int32_t users,
     req.user_id = static_cast<int32_t>(zipf.Sample(&rng));
     req.k = kK;
     serve::RequestContext ctx;
+    const double c0 = ThreadCpuSeconds();
     const auto r = service->Recommend(req, &ctx);
     Read rd;
+    rd.cpu_s = ThreadCpuSeconds() - c0;
     rd.due_us = start_us + static_cast<uint64_t>(offset_us);
     rd.finish_us = obs::NowMicros();
     rd.ok = r.ok();
@@ -208,6 +221,7 @@ std::vector<Read> ReadLoop(serve::RecommendService* service, int32_t users,
     }
     rd.score_us = ctx.stage(serve::Stage::kScore);
     reads.push_back(rd);
+    cpu_s->store(ThreadCpuSeconds(), std::memory_order_relaxed);
   }
   return reads;
 }
@@ -223,7 +237,7 @@ Result RunLoop(const Args& args) {
   const double t_start = NowSeconds();
 
   // --- Set-up: bootstrap a fresh pipeline several times ------------------
-  std::vector<double> setup_s, generate_s;
+  std::vector<double> setup_s, setup_cpu_s, generate_s;
   double sum_generate = 0, sum_bootstrap = 0, sum_train = 0, sum_publish = 0;
   std::vector<double> bootstrap_ingest_s;
   int64_t bootstrap_ingested = 0;
@@ -240,6 +254,7 @@ Result RunLoop(const Args& args) {
     out.Check(ok, "bootstrap: " + why);
     if (!ok) return out;
     setup_s.push_back(p.generate_s + p.bootstrap_s + p.cycle_s);
+    setup_cpu_s.push_back(p.cpu_s);
     generate_s.push_back(p.generate_s);
     sum_generate += p.generate_s;
     sum_bootstrap += p.bootstrap_s;
@@ -255,23 +270,27 @@ Result RunLoop(const Args& args) {
   const int32_t read_users = static_cast<int32_t>(
       p.store->current()->num_users());
   std::atomic<bool> stop{false};
+  std::atomic<double> reader_cpu_s{0.0};
   std::vector<Read> reads;
   std::thread reader([&] {
-    reads = ReadLoop(&service, read_users, args.seed ^ 0x5eed, &stop);
+    reads = ReadLoop(&service, read_users, args.seed ^ 0x5eed, &stop,
+                     &reader_cpu_s);
   });
 
   RegistryDelta run_delta;
   std::vector<Cycle> cycles;
-  // ingest_eps counts every Ingest() of the run: the bootstraps' and the
-  // stream's.
+  // The ingest figures count every Ingest() of the run: the bootstraps'
+  // and the stream's.
   double ingest_s = 0, probe_s = 0, reload_s_total = 0;
   int64_t ingested = 0, since_cycle = 0;
   double bootstrap_ingest_total = 0;
   for (const double s : bootstrap_ingest_s) bootstrap_ingest_total += s;
   ingest_s = bootstrap_ingest_total;
   ingested = bootstrap_ingested;
+  SpeedProbe probe;
   const double t_run = NowSeconds();
   for (size_t b = stream.size() / 2; b < stream.size(); b += kBatch) {
+    probe.Sample();
     const std::vector<pipeline::WalRecord> batch =
         ToRecords(stream, b, std::min(stream.size(), b + kBatch));
     const uint64_t t0_us = obs::NowMicros();
@@ -289,7 +308,11 @@ Result RunLoop(const Args& args) {
     Cycle c;
     c.cross_us = t0_us;
     const int64_t before = sup.manifest().version;
+    const double cc0 = ProcessCpuSeconds();
+    const double rc0 = reader_cpu_s.load(std::memory_order_relaxed);
     const util::Status cyc = sup.RunCycle();
+    c.cpu_s = ProcessCpuSeconds() - cc0 -
+              (reader_cpu_s.load(std::memory_order_relaxed) - rc0);
     c.swapped_us = p.store->published_at_us();
     c.version = sup.manifest().version;
     out.Check(cyc.ok() && c.version == before + 1,
@@ -362,8 +385,26 @@ Result RunLoop(const Args& args) {
               "ingestor digest differs from a fresh WAL replay");
   }
   const double check_s = NowSeconds() - t_check;
+  // Reads per CPU second of the reader, per one-second window by due time.
+  std::vector<double> window_reads, window_cpu_s;
+  for (const Read& r : reads) {
+    const size_t w = static_cast<size_t>(
+        static_cast<double>(r.due_us - reads.front().due_us) * 1e-6);
+    if (w >= window_reads.size()) {
+      window_reads.resize(w + 1, 0.0);
+      window_cpu_s.resize(w + 1, 0.0);
+    }
+    window_reads[w] += 1.0;
+    window_cpu_s[w] += r.cpu_s;
+  }
+  std::vector<double> reads_per_cpu_s;
+  for (size_t w = 0; w < window_reads.size(); ++w) {
+    if (window_cpu_s[w] > 0) {
+      reads_per_cpu_s.push_back(window_reads[w] / window_cpu_s[w]);
+    }
+  }
 
-  // --- recall20 of the final published snapshot ---------------------------
+  // --- Recall@20 of the final published snapshot -------------------------
   const double g0 = NowSeconds();
   const data::Dataset final_ds = sup.ingestor().BuildDataset();
   const double graph_build_s = NowSeconds() - g0;
@@ -380,8 +421,9 @@ Result RunLoop(const Args& args) {
             "final snapshot does not cover the final id space");
 
   // --- Freshness: crossing Ingest() -> first read of the new version -----
-  std::vector<double> freshness_ms, swap_ms;
+  std::vector<double> freshness_ms, swap_ms, cycle_cpu_ms;
   for (const Cycle& c : cycles) {
+    cycle_cpu_ms.push_back(c.cpu_s * 1e3);
     uint64_t first_read = 0;
     for (const Read& r : reads) {
       if (r.ok && r.version >= c.version &&
@@ -407,24 +449,32 @@ Result RunLoop(const Args& args) {
                 "loop: %zu cycles, %lld events ingested in %.3f s of Ingest(), "
                 "%zu reads (windowed p50 %.0f us, p95 %.0f us; p99 %.0f us, "
                 "%lld beyond p99), "
-                "cache hits %lld, run %.2f s",
+                "cache hits %lld, run %.2f s, final test Recall@20 %.6f",
                 cycles.size(), static_cast<long long>(ingested), ingest_s,
                 read_us.size(), p50, p95, p99,
                 static_cast<long long>(SamplesBeyond(
                     static_cast<int64_t>(read_us.size()), 0.99)),
-                static_cast<long long>(cached), run_s);
+                static_cast<long long>(cached), run_s, recall20);
   out.notes.push_back(buf);
+  // Every sample, so a run the host disturbed part-way shows.
+  auto list_note = [&out](std::string note, const std::vector<double>& v) {
+    for (const double t : v) note.append(" ").append(std::to_string(t));
+    out.notes.push_back(note);
+  };
+  list_note("set-ups (wall s):", setup_s);
+  list_note("set-ups (CPU s):", setup_cpu_s);
+  list_note("freshness per cycle (wall ms):", freshness_ms);
+  list_note("cycles (CPU ms):", cycle_cpu_ms);
+  list_note("reads per CPU s (one-second windows):", reads_per_cpu_s);
+  list_note("speed probes (CPU s):", probe.samples());
 
   if (!args.trace) {
-    const int64_t n_reads = static_cast<int64_t>(read_us.size());
-    out.Add("setup_s", Median(setup_s), "s", kSetups);
-    out.Add("freshness_ms", Median(freshness_ms), "ms",
-            static_cast<int64_t>(freshness_ms.size()));
-    out.Add("ingest_eps", ingest_s > 0 ? ingested / ingest_s : 0.0, "1/s",
-            ingested);
-    out.Add("p50_us", p50, "us", n_reads);
-    out.Add("recall20", recall20, "ratio",
-            static_cast<int64_t>(final_ds.test_users.size()));
+    const double scale = probe.Scale();
+    out.Add("setup_s", Median(setup_cpu_s) * scale, "s", kSetups);
+    out.Add("op_ms", Median(cycle_cpu_ms) * scale, "ms",
+            static_cast<int64_t>(cycle_cpu_ms.size()));
+    out.Add("rate_per_s", Median(reads_per_cpu_s) / scale, "1/s",
+            static_cast<int64_t>(read_us.size()));
     return out;
   }
 
@@ -485,7 +535,7 @@ Result RunLoop(const Args& args) {
           "ratio");
   out.Add("util.pool_tasks", run_delta.Counter("pool.tasks_executed"),
           "count");
-  out.Add("loop.unattributed_frac", attr.UnattributedFrac(), "ratio");
+  out.Add("bench.unattributed_frac", attr.UnattributedFrac(), "ratio");
   return out;
 }
 

@@ -1,7 +1,11 @@
-// Workload `serve`: open-loop request traffic into RecommendService.
+// Workload `serve`: request traffic into RecommendService.
 //
-// Snapshot at paper-lite shape, about 1/5 of Yelp (Yelp-like preset at
-// scale 7: ~19.6k users x ~11.2k items, d = 64). Embeddings come from
+// Snapshot at about 1/9 of Yelp (Yelp-like preset at scale 4: ~11.2k
+// users x ~6.4k items, d = 64), the largest shape tried whose CPU cost per
+// request repeated from run to run on a shared host: at scale 7 each
+// request's 2.9 MB transposed item table made scoring bound by memory
+// traffic that other tenants share, and CPU ms per request moved by up to
+// 40% between runs. Embeddings come from
 // MakeClusterFeatures over the generator's latent clusters, so rankings
 // have structure; histories are the generated training interactions. The
 // snapshot is fixed (kDataSeed); --seed drives the request stream. Users
@@ -12,23 +16,28 @@
 // Threads: this thread is the only generator (it paces, submits and
 // harvests); the service's workers run on a compute pool of nproc - 1.
 //
-// Steps, each on a fresh service and each a fixed offered rate:
-//   warm-up   kWarmupRps, not reported: the allocator and caches settle
-//   ladder    traced runs only: kLadderRps, one step per rung, stopping at
-//             the first rung that fails three times in a row (p99 from due
-//             time over kP99LimitUs, a growing backlog, or any miss)
-//   nominal   kNominalRps, about half the ladder's passing rate today
-//   overload  kOverloadRps, above the ladder's passing range, every
-//             request with a kBudgetUs budget and a 50/30/20
-//             interactive/batch/background priority mix
+// Steps, each on a fresh service:
+//   warm-up     kNominalRps open loop, not reported: the allocator and
+//               caches settle
+//   rounds      until --seconds have passed (at least kMinRounds), each a
+//               nominal step (kNominalRps open loop, well below capacity),
+//               a saturation step (closed loop, kInFlight requests always
+//               outstanding) and a discarded set-up
+//   overload    traced runs only: kOverloadRps open loop, far above
+//               capacity, every request with a kBudgetUs budget and a
+//               50/30/20 interactive/batch/background priority mix
 //
-// End-to-end: setup_s (median of five set-ups), p50_us (nominal, from
-// each request's due time, median over one-second windows of the
-// per-window median), goodput_rps (complete in-budget answers per second
-// at overload, median over half-second windows). Not end-to-end metrics,
-// because on a shared host they did not repeat within the bound from run
-// to run: p95 and p99, printed with every step, and max_rps (achieved rate
-// of the highest passing rung), a row of the traced run.
+// End-to-end, in CPU time of the process at the SpeedProbe's reference
+// speed (one probe per round): setup_s (median over the
+// set-ups), op_ms (CPU ms per request at saturation: median over the
+// quarter-second windows of every saturation step), rate_per_s (requests
+// per CPU second at the nominal rate, where the pool idles between
+// requests and wake-ups cost: median over the quarter-second windows of
+// every nominal step). Wall-clock figures are printed, not reported:
+// latency from due time per one-second window (p50; p95 and p99 per step)
+// and saturation throughput, because on a shared host they followed the
+// host's load from run to run by up to 2x. Overload goodput, shed and
+// expired shares and the limiter's mean limit are rows of the traced run.
 //
 // Checks: answered + shed + expired == offered at every step with no
 // other outcome; sampled responses equal a FusedScoreTopK scan of the
@@ -38,6 +47,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <filesystem>
 #include <future>
 #include <memory>
@@ -63,33 +73,23 @@ namespace {
 
 using namespace layergcn;
 
-constexpr double kScale = 7.0;
+constexpr double kScale = 4.0;
 constexpr int kDim = 64;
-constexpr int kSetups = 5;
 constexpr int kK = 20;
 
-// Offered rates (requests/s). Fixed configuration, never calibrated in a
-// run: a faster program passes more rungs, a slower one fewer. Rungs are
-// 6% apart from half today's passing rate to twice it, below which two
-// coarse rungs keep a slowed host from failing every rung.
-const std::vector<double> kLadderRps = {
-    700,  850,  1000, 1060, 1120, 1190, 1260, 1340, 1420,
-    1510, 1600, 1700, 1800, 1910, 2020, 2140, 2270, 2410,
-    2550, 2700, 2860, 3030, 3210, 3400, 3600};
-constexpr double kWarmupRps = 1000;
-constexpr double kNominalRps = 800;
+// Offered load: fixed configuration, never calibrated in a run. Nominal
+// is about a quarter of the saturation throughput on a 4-core host, so
+// its latency is mostly service time, not queueing.
+constexpr double kNominalRps = 400;
+constexpr int kInFlight = 6;  // saturation: twice the pool of nproc - 1
 constexpr double kOverloadRps = 8000;
-constexpr double kP99LimitUs = 25000;
-constexpr int kRungAttempts = 3;
 constexpr uint64_t kBudgetUs = 20000;
-
-// Requests per step at --seconds 30; other run lengths scale them. A
-// rung's 1000 requests leave ten beyond its p99.
-constexpr double kReferenceSeconds = 30;
-constexpr double kWarmupRequests = 1000;
-constexpr double kRungRequests = 1000;
-constexpr double kNominalRequests = 9600;
-constexpr double kOverloadRequests = 64000;
+constexpr int kMinRounds = 3;
+constexpr double kWarmupS = 1.0;
+constexpr double kNominalStepS = 2.0;
+constexpr double kSaturationStepS = 1.0;
+constexpr double kOverloadStepS = 2.0;
+constexpr double kCpuWindowS = 0.25;
 
 constexpr int kSampleEvery = 61;  // responses checked against the scan
 
@@ -104,10 +104,12 @@ struct Snapshot {
   int32_t num_users = 0;
   std::shared_ptr<serve::SnapshotStore> store;
   double generate_s = 0, build_s = 0, export_s = 0, reload_s = 0;
+  double cpu_s = 0;  // CPU time of the process over the whole set-up
 };
 
 Snapshot BuildSnapshot(const Args& args, int attempt) {
   Snapshot s;
+  const double c0 = ProcessCpuSeconds();
   const double t0 = NowSeconds();
   const data::SyntheticConfig cfg = data::YelpLikeConfig(kScale);
   data::SyntheticOutput gen =
@@ -144,6 +146,7 @@ Snapshot BuildSnapshot(const Args& args, int attempt) {
   s.build_s = t2 - t1;
   s.export_s = t3 - t2;
   s.reload_s = t4 - t3;
+  s.cpu_s = ProcessCpuSeconds() - c0;
   return s;
 }
 
@@ -154,6 +157,10 @@ struct Step {
   int64_t cached = 0, in_budget = 0;
   double duration_s = 0;  // first due time to last finish
   std::vector<Completion> completions;  // complete answers, from due time
+  std::vector<double> finish_s;  // their finish times from the step's start
+  // CPU time of the process and requests submitted, per window of about
+  // kCpuWindowS seconds of the step.
+  std::vector<std::pair<double, double>> cpu_windows;
   std::vector<double> admission_us, score_us, candidates;
   double limit_sum = 0;
   double submit_s = 0, wait_s = 0, drain_s = 0;
@@ -161,7 +168,7 @@ struct Step {
   std::vector<std::pair<int32_t, std::vector<serve::ScoredItem>>> samples;
 
   /// Pools another step's samples and counts into this one (the traced
-  /// run's nominal quarters).
+  /// run's traced nominal steps).
   void Append(const Step& o) {
     offered_rps = o.offered_rps;
     offered += o.offered;
@@ -174,6 +181,9 @@ struct Step {
     duration_s += o.duration_s;
     completions.insert(completions.end(), o.completions.begin(),
                        o.completions.end());
+    finish_s.insert(finish_s.end(), o.finish_s.begin(), o.finish_s.end());
+    cpu_windows.insert(cpu_windows.end(), o.cpu_windows.begin(),
+                       o.cpu_windows.end());
     admission_us.insert(admission_us.end(), o.admission_us.begin(),
                         o.admission_us.end());
     score_us.insert(score_us.end(), o.score_us.begin(), o.score_us.end());
@@ -190,8 +200,7 @@ struct Step {
   }
 };
 
-Step RunStep(serve::SnapshotStore* store, int32_t num_users, double rps,
-             double duration_s, bool overload, uint64_t seed) {
+serve::RecommendServiceOptions StepOptions(bool overload) {
   serve::RecommendServiceOptions opt;
   opt.max_k = kK;
   // The limiter keeps the library's defaults.
@@ -200,8 +209,72 @@ Step RunStep(serve::SnapshotStore* store, int32_t num_users, double rps,
   // Overload: a queue bound that drains well inside the budget. Below
   // capacity: a queue no step fills, so nothing is shed.
   opt.queue_capacity = overload ? 16 : 4096;
-  serve::RecommendService service(store, opt);
+  return opt;
+}
 
+// Books one finished request into `st`: its outcome, and for a complete
+// answer its latency from `due_us` (start_us is the step's start).
+void Classify(const util::StatusOr<serve::RecommendResponse>& r,
+              const serve::RequestContext& c, uint64_t due_us,
+              uint64_t start_us, bool overload, int64_t i, Step* st) {
+  const double latency =
+      c.finish_us > due_us ? static_cast<double>(c.finish_us - due_us) : 0.0;
+  if (r.ok()) {
+    ++st->answered;
+    // A partial or degraded answer is not a complete one: a miss.
+    if (r.value().partial || r.value().degraded) return;
+    if (r.value().cached) ++st->cached;
+    st->completions.push_back(
+        {static_cast<double>(due_us - start_us) * 1e-6, latency});
+    st->finish_s.push_back(static_cast<double>(c.finish_us - start_us) *
+                           1e-6);
+    st->admission_us.push_back(
+        static_cast<double>(c.stage(serve::Stage::kAdmission)));
+    st->score_us.push_back(static_cast<double>(c.stage(serve::Stage::kScore)));
+    st->candidates.push_back(static_cast<double>(c.candidates));
+    if (!overload || latency <= static_cast<double>(kBudgetUs)) {
+      ++st->in_budget;
+    }
+    if (i % kSampleEvery == 0) {
+      st->samples.push_back({c.user, r.value().items});
+    }
+  } else if (r.status().code() == util::StatusCode::kResourceExhausted) {
+    ++st->shed;
+  } else if (r.status().code() == util::StatusCode::kDeadlineExceeded) {
+    ++st->expired;
+  } else {
+    ++st->other;
+  }
+}
+
+// Samples the process's CPU time every kCpuWindowS seconds of a step,
+// booking (CPU seconds, requests submitted) per window into the step.
+class CpuWindows {
+ public:
+  void Tick(int64_t submitted, Step* st) {
+    const double now = NowSeconds();
+    if (now - wall_ < kCpuWindowS) return;
+    const double cpu = ProcessCpuSeconds();
+    if (submitted > submitted_) {
+      st->cpu_windows.push_back(
+          {cpu - cpu_, static_cast<double>(submitted - submitted_)});
+    }
+    wall_ = now;
+    cpu_ = cpu;
+    submitted_ = submitted;
+  }
+
+ private:
+  double wall_ = NowSeconds();
+  double cpu_ = ProcessCpuSeconds();
+  int64_t submitted_ = 0;
+};
+
+// Open loop: requests due every 1/rps seconds for `duration_s`, whatever
+// the service's progress.
+Step RunStep(serve::SnapshotStore* store, int32_t num_users, double rps,
+             double duration_s, bool overload, uint64_t seed) {
+  serve::RecommendService service(store, StepOptions(overload));
   Step st;
   st.offered_rps = rps;
   st.offered = std::max<int64_t>(1, static_cast<int64_t>(rps * duration_s));
@@ -214,7 +287,9 @@ Step RunStep(serve::SnapshotStore* store, int32_t num_users, double rps,
   const double interval_us = 1e6 / rps;
   const auto start = std::chrono::steady_clock::now();
   const uint64_t start_us = obs::NowMicros();
+  CpuWindows windows;
   for (int64_t i = 0; i < st.offered; ++i) {
+    windows.Tick(i, &st);
     const double offset_us = interval_us * static_cast<double>(i);
     due_us[static_cast<size_t>(i)] =
         start_us + static_cast<uint64_t>(offset_us);
@@ -245,55 +320,53 @@ Step RunStep(serve::SnapshotStore* store, int32_t num_users, double rps,
   uint64_t last_finish = start_us;
   for (size_t i = 0; i < futures.size(); ++i) {
     const util::StatusOr<serve::RecommendResponse> r = futures[i].get();
-    const serve::RequestContext& c = ctx[i];
-    last_finish = std::max(last_finish, c.finish_us);
-    const double latency =
-        c.finish_us > due_us[i] ? static_cast<double>(c.finish_us - due_us[i])
-                                : 0.0;
-    if (r.ok()) {
-      ++st.answered;
-      // A partial or degraded answer is not a complete one: a miss.
-      if (r.value().partial || r.value().degraded) continue;
-      if (r.value().cached) ++st.cached;
-      st.completions.push_back(
-          {static_cast<double>(due_us[i] - start_us) * 1e-6, latency});
-      st.admission_us.push_back(
-          static_cast<double>(c.stage(serve::Stage::kAdmission)));
-      st.score_us.push_back(static_cast<double>(c.stage(serve::Stage::kScore)));
-      st.candidates.push_back(static_cast<double>(c.candidates));
-      if (!overload || latency <= static_cast<double>(kBudgetUs)) {
-        ++st.in_budget;
-      }
-      if (i % kSampleEvery == 0) {
-        st.samples.push_back({c.user, r.value().items});
-      }
-    } else if (r.status().code() == util::StatusCode::kResourceExhausted) {
-      ++st.shed;
-    } else if (r.status().code() == util::StatusCode::kDeadlineExceeded) {
-      ++st.expired;
-    } else {
-      ++st.other;
-    }
+    last_finish = std::max(last_finish, ctx[i].finish_us);
+    Classify(r, ctx[i], due_us[i], start_us, overload,
+             static_cast<int64_t>(i), &st);
   }
   st.drain_s = NowSeconds() - d0;
   st.duration_s = static_cast<double>(last_finish - start_us) * 1e-6;
   return st;
 }
 
-// Step length in seconds for `requests` offered at `rps`.
-double StepSeconds(const Args& a, double requests, double rps) {
-  return requests * (a.seconds / kReferenceSeconds) / rps;
-}
-
-Rung ToRung(const Step& s) {
-  Rung r;
-  r.offered_rps = s.offered_rps;
-  const double done = static_cast<double>(s.completions.size());
-  r.achieved_rps = s.duration_s > 0 ? done / s.duration_s : 0.0;
-  r.p99_us = s.LatencyQuantile(0.99);
-  r.misses = s.offered - static_cast<int64_t>(s.completions.size());
-  r.backlog_growing = BacklogGrowing(s.completions, kP99LimitUs / 4);
-  return r;
+// Closed loop: keeps kInFlight requests outstanding for `duration_s`, a
+// new one submitted as the oldest is harvested; latency counts from
+// submission.
+Step RunSaturation(serve::SnapshotStore* store, int32_t num_users,
+                   double duration_s, uint64_t seed) {
+  serve::RecommendService service(store, StepOptions(false));
+  Step st;
+  std::deque<serve::RequestContext> ctx;  // stable while outstanding
+  std::deque<std::future<util::StatusOr<serve::RecommendResponse>>> futures;
+  util::Rng rng(seed);
+  const uint64_t start_us = obs::NowMicros();
+  const double t0 = NowSeconds();
+  uint64_t last_finish = start_us;
+  int64_t harvested = 0;
+  CpuWindows windows;
+  auto harvest = [&] {
+    const util::StatusOr<serve::RecommendResponse> r = futures.front().get();
+    last_finish = std::max(last_finish, ctx.front().finish_us);
+    Classify(r, ctx.front(), ctx.front().submit_us, start_us, false,
+             harvested++, &st);
+    futures.pop_front();
+    ctx.pop_front();
+  };
+  while (NowSeconds() - t0 < duration_s) {
+    if (futures.size() >= static_cast<size_t>(kInFlight)) harvest();
+    serve::RecommendRequest req;
+    req.user_id = static_cast<int32_t>(
+        rng.NextBounded(static_cast<uint64_t>(num_users)));
+    req.k = kK;
+    windows.Tick(st.offered, &st);
+    ctx.emplace_back();
+    futures.push_back(service.Submit(req, &ctx.back()));
+    ++st.offered;
+  }
+  while (!futures.empty()) harvest();
+  st.duration_s = static_cast<double>(last_finish - start_us) * 1e-6;
+  st.offered_rps = st.duration_s > 0 ? st.offered / st.duration_s : 0.0;
+  return st;
 }
 
 // One line per step: outcomes, latency from due time, and how late the
@@ -346,25 +419,38 @@ Result RunServe(const Args& args) {
   out.pool_threads = workers;
   const double t_start = NowSeconds();
 
-  std::vector<double> setup_s, generate_s, build_s, export_s, reload_s;
-  Snapshot snap;
-  for (int s = 0; s < kSetups; ++s) {
-    snap = BuildSnapshot(args, s);
+  std::vector<double> setup_s, setup_cpu_s, generate_s, build_s, export_s,
+      reload_s;
+  // One set-up; `keep` holds the snapshot the traffic runs on, the others
+  // are discarded with their files.
+  auto set_up = [&](int attempt, bool keep, Snapshot* kept) {
+    Snapshot snap = BuildSnapshot(args, attempt);
     out.Check(snap.store != nullptr, "snapshot export + reload");
-    if (snap.store == nullptr) return out;
+    if (snap.store == nullptr) return false;
     setup_s.push_back(snap.generate_s + snap.build_s + snap.export_s +
                       snap.reload_s);
+    setup_cpu_s.push_back(snap.cpu_s);
     generate_s.push_back(snap.generate_s);
     build_s.push_back(snap.build_s);
     export_s.push_back(snap.export_s);
     reload_s.push_back(snap.reload_s);
-  }
+    if (keep) {
+      *kept = std::move(snap);
+    } else {
+      const std::string dir = snap.store->dir();
+      snap.store.reset();
+      std::error_code ec;
+      std::filesystem::remove_all(dir, ec);
+    }
+    return true;
+  };
+  Snapshot snap;
+  if (!set_up(0, true, &snap)) return out;
   serve::SnapshotStore* store = snap.store.get();
   const auto current = store->current();
 
   double traffic_submit = 0, traffic_wait = 0, traffic_drain = 0;
-  const double t_traffic = NowSeconds();
-  double check_s = 0;
+  double saturation_s = 0, check_s = 0;
   // Books a finished step's time on this thread and runs its checks.
   auto finish = [&](const Step& s, const char* name) {
     traffic_submit += s.submit_s;
@@ -376,105 +462,111 @@ Result RunServe(const Args& args) {
   };
 
   // --- Warm-up: lets the allocator and caches settle; not reported --------
-  const Step warmup =
-      RunStep(store, snap.num_users, kWarmupRps,
-              StepSeconds(args, kWarmupRequests, kWarmupRps), false,
-              args.seed * 7 + 3);
-  finish(warmup, "warm-up");
+  if (args.trace) obs::SetEnabled(false);
+  finish(RunStep(store, snap.num_users, kNominalRps, kWarmupS, false,
+                 args.seed * 7 + 3),
+         "warm-up");
 
-  // --- Ladder (traced runs) -----------------------------------------------
-  // A failing rung is run again before the ladder stops: a hiccup of the
-  // box (a stalled generator, a noisy neighbour) fails one attempt,
-  // saturation fails every one.
-  std::vector<Rung> rungs;
-  for (size_t i = 0; args.trace && i < kLadderRps.size(); ++i) {
-    Rung rung;
-    for (int attempt = 0; attempt < kRungAttempts; ++attempt) {
-      const Step s = RunStep(store, snap.num_users, kLadderRps[i],
-                             StepSeconds(args, kRungRequests, kLadderRps[i]),
-                             false, args.seed * 1000 + i * 10 + attempt);
-      finish(s, "ladder");
-      const Rung r = ToRung(s);
-      out.notes.push_back(Describe("rung", s) +
-                          (r.backlog_growing ? "  backlog growing" : ""));
-      rung = attempt == 0 ? r : BetterAttempt(rung, r, kP99LimitUs);
-      if (RungPasses(rung, kP99LimitUs)) break;
-    }
-    rungs.push_back(rung);
-    if (!RungPasses(rung, kP99LimitUs)) break;
-  }
-  const int best = SelectRung(rungs, kP99LimitUs);
-
-  // --- Nominal ------------------------------------------------------------
-  // A traced run splits nominal into untraced and traced quarters, in
-  // turn, so host drift hits both alike: the traced ones give the layer
-  // rows, the untraced ones the reference for the tracing overhead.
-  const double nominal_s = StepSeconds(args, kNominalRequests, kNominalRps);
-  Step nominal, untraced_nominal;
+  // --- Rounds: nominal, saturation, discarded set-up ----------------------
+  // A traced run traces every other nominal step and nothing else, so host
+  // drift hits traced and untraced steps alike: the traced ones give the
+  // layer rows, the untraced ones the reference for the tracing overhead.
+  SpeedProbe probe;
+  Step nominal, untraced_nominal, saturated;
+  std::vector<double> nominal_p50s, saturation_rates;
   RegistryDelta nominal_delta;
-  if (!args.trace) {
-    nominal = RunStep(store, snap.num_users, kNominalRps, nominal_s,
-                      false, args.seed * 7 + 1);
-    finish(nominal, "nominal");
-  } else {
-    for (int q = 0; q < 4; ++q) {
-      const bool traced = q % 2 == 1;
-      obs::SetEnabled(traced);
-      const Step s = RunStep(store, snap.num_users, kNominalRps,
-                             nominal_s / 4, false, args.seed * 7 + 1 + q);
-      obs::SetEnabled(true);
-      finish(s, "nominal");
-      (traced ? nominal : untraced_nominal).Append(s);
+  const double t_traffic = NowSeconds();
+  for (int r = 0; r < kMinRounds || NowSeconds() - t_traffic < args.seconds;
+       ++r) {
+    probe.Sample();
+    const bool traced = args.trace && r % 2 == 1;
+    if (traced) obs::SetEnabled(true);
+    const Step n = RunStep(store, snap.num_users, kNominalRps, kNominalStepS,
+                           false, args.seed * 7919 + 2 * r);
+    if (traced) obs::SetEnabled(false);
+    finish(n, "nominal");
+    (traced || !args.trace ? nominal : untraced_nominal).Append(n);
+    for (const double w : WindowQuantiles(n.completions, 1.0, 0.5)) {
+      nominal_p50s.push_back(w);
     }
+
+    const double s0 = NowSeconds();
+    const Step sat = RunSaturation(store, snap.num_users, kSaturationStepS,
+                                   args.seed * 7919 + 2 * r + 1);
+    saturation_s += NowSeconds() - s0;
+    finish(sat, "saturation");
+    saturated.Append(sat);
+    for (const double w : WindowRates(sat.finish_s, 0.25, sat.duration_s)) {
+      saturation_rates.push_back(w);
+    }
+
+    if (!set_up(r + 1, false, nullptr)) return out;
   }
   nominal_delta.Close();
 
-  // --- Overload -----------------------------------------------------------
-  const Step over =
-      RunStep(store, snap.num_users, kOverloadRps,
-              StepSeconds(args, kOverloadRequests, kOverloadRps), true,
-              args.seed * 7 + 2);
-  finish(over, "overload");
+  // --- Overload (traced runs) ---------------------------------------------
+  Step over;
+  if (args.trace) {
+    over = RunStep(store, snap.num_users, kOverloadRps, kOverloadStepS, true,
+                   args.seed * 7 + 2);
+    finish(over, "overload");
+  }
+  if (args.trace) obs::SetEnabled(true);
   const double traffic_s = NowSeconds() - t_traffic;
 
-  // Medians over one-second windows (half-second at overload): a stall of
-  // the host that spoils one window does not move the result.
-  const double nominal_p50 = WindowedQuantile(nominal.completions, 1.0, 0.5);
-  std::vector<double> good_due;
-  for (const Completion& c : over.completions) {
-    if (c.latency_us <= static_cast<double>(kBudgetUs)) {
-      good_due.push_back(c.due_s);
-    }
+  // Every window and set-up, so a run the host disturbed part-way shows.
+  auto list_note = [&out](std::string note, const std::vector<double>& v) {
+    for (const double t : v) note.append(" ").append(std::to_string(t));
+    out.notes.push_back(note);
+  };
+  std::vector<double> saturation_cpu_ms, nominal_per_cpu_s;
+  for (const auto& [cpu, reqs] : saturated.cpu_windows) {
+    saturation_cpu_ms.push_back(cpu * 1e3 / reqs);
   }
-  const double goodput = WindowedRate(
-      good_due, 0.5, static_cast<double>(over.offered) / kOverloadRps);
+  for (const auto& [cpu, reqs] : nominal.cpu_windows) {
+    nominal_per_cpu_s.push_back(reqs / cpu);
+  }
+  list_note("set-ups (wall s):", setup_s);
+  list_note("set-ups (CPU s):", setup_cpu_s);
+  list_note("nominal window p50s (us from due time):", nominal_p50s);
+  list_note("nominal windows (requests per CPU s):", nominal_per_cpu_s);
+  list_note("saturation window rates (1/s):", saturation_rates);
+  list_note("saturation windows (CPU ms per request):", saturation_cpu_ms);
+  list_note("speed probes (CPU s):", probe.samples());
   out.notes.push_back(Describe("nominal", nominal));
-  out.notes.push_back(Describe("overload", over));
+  out.notes.push_back(Describe("saturate", saturated));
   if (!args.trace) {
-    const int64_t answers = static_cast<int64_t>(nominal.completions.size());
-    out.Add("setup_s", Median(setup_s), "s", kSetups);
-    out.Add("p50_us", nominal_p50, "us", answers);
-    out.Add("goodput_rps", goodput, "1/s", over.in_budget);
+    const double scale = probe.Scale();
+    out.Add("setup_s", Median(setup_cpu_s) * scale, "s",
+            static_cast<int64_t>(setup_cpu_s.size()));
+    out.Add("op_ms", Median(saturation_cpu_ms) * scale, "ms",
+            static_cast<int64_t>(saturated.completions.size()));
+    out.Add("rate_per_s", Median(nominal_per_cpu_s) / scale, "1/s",
+            static_cast<int64_t>(nominal.completions.size()));
     return out;
   }
+  out.notes.push_back(Describe("overload", over));
 
   // --- Traced run: layer rows ---------------------------------------------
   const double wall = NowSeconds() - t_start;
-  double sum_generate = 0, sum_build = 0, sum_export = 0, sum_reload = 0;
-  for (double t : generate_s) sum_generate += t;
-  for (double t : build_s) sum_build += t;
-  for (double t : export_s) sum_export += t;
-  for (double t : reload_s) sum_reload += t;
+  auto sum = [](const std::vector<double>& v) {
+    double t = 0;
+    for (const double x : v) t += x;
+    return t;
+  };
   // Traffic time on this thread: pacing sleeps, time inside Submit (the
-  // admission layer), and waiting on futures once a step stops offering.
+  // admission layer), waiting on futures once a step stops offering, and
+  // the closed-loop saturation steps. The discarded set-ups are in the
+  // set-up rows.
   const Attribution attr = Attribute(
-      wall, {{"data.generate_s", sum_generate},
-             {"graph.build_s", sum_build},
-             {"serve.export_s", sum_export},
-             {"serve.reload_s", sum_reload},
+      wall, {{"data.generate_s", sum(generate_s)},
+             {"graph.build_s", sum(build_s)},
+             {"serve.export_s", sum(export_s)},
+             {"serve.reload_s", sum(reload_s)},
              {"serve.submit_s", traffic_submit},
              {"bench.pacing_wait_s", traffic_wait},
              {"bench.drain_s", traffic_drain},
+             {"bench.saturation_s", saturation_s},
              {"bench.check_s", check_s}});
   AddLayerTable("serve, traced run, totals over the run (traffic " +
                     std::to_string(traffic_s) + " s)",
@@ -483,17 +575,20 @@ Result RunServe(const Args& args) {
   const double n_nominal = static_cast<double>(nominal.completions.size());
   double cand_sum = 0;
   for (double c : nominal.candidates) cand_sum += c;
-  // Plain quantiles here: the quarters' due times overlap, so windows
-  // would mix them.
+  // Plain quantiles here: traced and untraced steps alternate, so their
+  // windows cannot be pooled.
   const double traced_p50 = nominal.LatencyQuantile(0.5);
   const double untraced_p50 = untraced_nominal.LatencyQuantile(0.5);
+  std::vector<double> good_due;
+  for (const Completion& c : over.completions) {
+    if (c.latency_us <= static_cast<double>(kBudgetUs)) {
+      good_due.push_back(c.due_s);
+    }
+  }
+  const double over_offered = static_cast<double>(over.offered);
   out.Add("data.generate_s", Median(generate_s), "s");
   out.Add("graph.build_s", Median(build_s), "s");
   out.Add("serve.reload_s", Median(reload_s), "s");
-  out.Check(best >= 0, "no ladder rung passed");
-  out.Add("serve.max_rps",
-          best >= 0 ? rungs[static_cast<size_t>(best)].achieved_rps : 0.0,
-          "1/s");
   out.Add("serve.admission_us_p50", Quantile(nominal.admission_us, 0.5), "us");
   out.Add("serve.admission_us_p99", Quantile(nominal.admission_us, 0.99),
           "us");
@@ -504,7 +599,11 @@ Result RunServe(const Args& args) {
   out.Add("serve.cache_hit_frac",
           n_nominal > 0 ? static_cast<double>(nominal.cached) / n_nominal : 0,
           "ratio");
-  const double over_offered = static_cast<double>(over.offered);
+  // Goodput: complete in-budget answers per second, median over
+  // half-second windows.
+  out.Add("serve.overload_goodput_rps",
+          Median(WindowRates(good_due, 0.5, over_offered / kOverloadRps)),
+          "1/s");
   out.Add("serve.shed_frac", static_cast<double>(over.shed) / over_offered,
           "ratio");
   out.Add("serve.expired_frac",
@@ -520,7 +619,7 @@ Result RunServe(const Args& args) {
           nominal_delta.Histogram("serve.latency_us").Quantile(0.5) -
               traced_p50,
           "us");
-  out.Add("serve.unattributed_frac", attr.UnattributedFrac(), "ratio");
+  out.Add("bench.unattributed_frac", attr.UnattributedFrac(), "ratio");
   return out;
 }
 

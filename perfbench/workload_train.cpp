@@ -2,20 +2,23 @@
 //
 // Yelp-like synthetic preset at scale 2 (about 5.6k users x 3.2k items x
 // 36k training interactions), LayerGCN with 4 layers, d = 64, batch 2048,
-// DegreeDrop 0.1, kEpochs fixed epochs without early stopping, then
-// kEvals full-ranking test evaluations. The job is fixed (kDataSeed);
-// --seed picks the users of the served-ranking check. Threads: one compute
-// pool of nproc workers; the calling thread only waits on it.
+// DegreeDrop 0.1, no early stopping. Rounds of one epoch, one full-ranking
+// test evaluation and one discarded set-up repeat until --seconds have
+// passed (at least kMinEpochs). The job is fixed (kDataSeed); --seed picks
+// the users of the served-ranking check. Threads: one compute pool of
+// nproc workers; the calling thread only waits on it.
 //
-// End-to-end (untraced): setup_s (generate + split + Init, median over the
-// job's own set-up and a discarded one after every epoch), epoch_s (median
-// BeginEpoch + TrainEpoch over the epochs after the first), eval_s (median
-// PrepareEval + test ranking), recall20 (test Recall@20, bit-identical at
-// any thread count and on every run).
+// End-to-end (untraced), in CPU time of the process at the SpeedProbe's
+// reference speed (one probe per round): setup_s (generate + split +
+// Init, median over the job's own set-up and the discarded ones), op_ms
+// (median BeginEpoch + TrainEpoch over the epochs after the first),
+// rate_per_s (test users ranked per CPU second: test users / median of
+// PrepareEval + full test ranking). Wall times are printed beside them.
 //
-// Checks: every epoch loss is finite; repeated evaluations agree exactly;
-// sampled top-20 lists served through RecommendService from a snapshot of
-// the trained model equal FusedScoreTopK's ranking of the same users.
+// Checks: every epoch loss is finite; evaluating the final model again
+// gives the same Recall@20; sampled top-20 lists served through
+// RecommendService from a snapshot of the trained model equal
+// FusedScoreTopK's ranking of the same users.
 
 #include <cmath>
 #include <cstdint>
@@ -46,8 +49,7 @@ namespace {
 using namespace layergcn;
 
 constexpr double kScale = 2.0;
-constexpr int kEpochs = 20;
-constexpr int kEvals = 20;
+constexpr int kMinEpochs = 4;
 constexpr int kParityUsers = 32;
 
 train::TrainConfig Config() {
@@ -57,7 +59,6 @@ train::TrainConfig Config() {
   tc.batch_size = 2048;
   tc.edge_drop_kind = graph::EdgeDropKind::kDegreeDrop;
   tc.edge_drop_ratio = 0.1;
-  tc.max_epochs = kEpochs;
   tc.seed = kDataSeed;
   return tc;
 }
@@ -124,9 +125,10 @@ Result RunTrain(const Args& args) {
   // --- Set-up: generate, split, Init -------------------------------------
   const data::SyntheticConfig cfg = data::YelpLikeConfig(kScale);
   const train::TrainConfig tc = Config();
-  std::vector<double> setup_s, generate_s, build_s;
+  std::vector<double> setup_s, setup_cpu_s, generate_s, build_s;
   auto set_up = [&](std::unique_ptr<data::Dataset>* ds,
                     std::unique_ptr<core::LayerGcn>* model, util::Rng* rng) {
+    const double c0 = ProcessCpuSeconds();
     const double t0 = NowSeconds();
     std::vector<data::Interaction> inter =
         data::GenerateInteractions(cfg, kDataSeed);
@@ -139,74 +141,32 @@ Result RunTrain(const Args& args) {
     generate_s.push_back(t1 - t0);
     build_s.push_back(t2 - t1);
     setup_s.push_back(t2 - t0);
+    setup_cpu_s.push_back(ProcessCpuSeconds() - c0);
   };
   std::unique_ptr<data::Dataset> ds;
   std::unique_ptr<core::LayerGcn> model;
   // Initial parameters, BPR sampling and DegreeDrop draws all follow
-  // kDataSeed: every run does the same work and recall20 repeats exactly.
+  // kDataSeed: every run does the same work, epoch for epoch, and the
+  // Recall@20 after each epoch repeats exactly.
   util::Rng rng(kDataSeed);
   set_up(&ds, &model, &rng);
 
-  // --- Training: fixed epochs, no early stopping --------------------------
-  // A traced run alternates the epochs after the first between traced and
-  // untraced, so host drift hits both alike: the traced ones give the
-  // layer rows, the untraced ones the reference for the tracing overhead.
-  std::vector<double> epoch_s, untraced_s, resample_s;
-  double steady_wall = 0.0, untraced_wall = 0.0;
-  // Every traced epoch, and nothing else: the evaluations below run
-  // Propagate too, and must not land in the epoch rows.
-  RegistryDelta training;
-  RegistryDelta steady;  // traced epochs after the first
-  for (int e = 0; e < kEpochs; ++e) {
-    if (e == 1) steady = RegistryDelta();
-    const bool untraced_epoch = args.trace && e % 2 == 1;
-    if (untraced_epoch) obs::SetEnabled(false);
-    const double t0 = NowSeconds();
-    model->BeginEpoch(e, &rng);
-    const double t1 = NowSeconds();
-    const double loss = model->TrainEpoch(&rng, nullptr);
-    const double t2 = NowSeconds();
-    if (untraced_epoch) obs::SetEnabled(true);
-    out.Check(std::isfinite(loss),
-              "epoch " + std::to_string(e) + " loss is not finite");
-    {
-      // A discarded set-up after every epoch spreads setup_s's samples
-      // over the run: a host that slows for a few seconds moves few of
-      // them. It records nothing, so the epoch rows stay the epochs'.
-      std::unique_ptr<data::Dataset> other_ds;
-      std::unique_ptr<core::LayerGcn> other_model;
-      util::Rng other_rng(kDataSeed);
-      if (args.trace) obs::SetEnabled(false);
-      set_up(&other_ds, &other_model, &other_rng);
-      if (args.trace) obs::SetEnabled(true);
-    }
-    if (e == 0) continue;
-    if (untraced_epoch) {
-      untraced_s.push_back(t2 - t0);
-      untraced_wall += t2 - t0;
-    } else {
-      epoch_s.push_back(t2 - t0);
-      resample_s.push_back(t1 - t0);
-      steady_wall += t2 - t0;
-    }
-  }
-  steady.Close();
-  training.Close();
-  const double steady_epochs = static_cast<double>(epoch_s.size());
-  // Every set-up's and epoch's time, so a run the host disturbed part-way
-  // shows.
-  auto list_note = [&out](std::string note, const std::vector<double>& v) {
-    for (const double t : v) note.append(" ").append(std::to_string(t));
-    out.notes.push_back(note);
-  };
-  list_note("set-ups (s):", setup_s);
-  list_note("epochs after the first (s):", epoch_s);
-
-  // --- Evaluation: PrepareEval + full test ranking, repeated -------------
+  // --- Rounds until the time budget is spent -----------------------------
+  // Each round trains one epoch, evaluates the model (PrepareEval + full
+  // test ranking) and runs a discarded set-up, so every metric's samples
+  // span the whole run and a host that slows for a few seconds moves few
+  // of them. A traced run alternates the epochs after the first between
+  // traced and untraced, so host drift hits both alike: the traced ones
+  // give the layer rows, the untraced ones the reference for the tracing
+  // overhead. Evaluations and set-ups record nothing, so the epoch rows
+  // stay the epochs'; their layers are timed from outside.
   const eval::Evaluator evaluator(ds.get(), {20});
-  std::vector<double> eval_s, prepare_s, rank_s;
-  double recall20 = 0.0;
-  for (int r = 0; r < kEvals; ++r) {
+  std::vector<double> epoch_s, untraced_s, resample_s;
+  std::vector<double> eval_s, prepare_s, rank_s, recalls;
+  std::vector<double> epoch_cpu_s, eval_cpu_s;
+  double steady_wall = 0.0, untraced_wall = 0.0;
+  auto evaluate = [&] {
+    const double c0 = ProcessCpuSeconds();
     const double t0 = NowSeconds();
     model->PrepareEval();
     const double t1 = NowSeconds();
@@ -217,11 +177,69 @@ Result RunTrain(const Args& args) {
     prepare_s.push_back(t1 - t0);
     rank_s.push_back(t2 - t1);
     eval_s.push_back(t2 - t0);
-    const double recall = m.recall.at(20);
-    if (r == 0) recall20 = recall;
-    out.Check(recall == recall20 && recall > 0.0,
-              "repeated evaluation changed Recall@20");
+    eval_cpu_s.push_back(ProcessCpuSeconds() - c0);
+    return m.recall.at(20);
+  };
+  RegistryDelta training;  // every traced epoch, and nothing else
+  RegistryDelta steady;    // traced epochs after the first
+  SpeedProbe probe;
+  const double t_rounds = NowSeconds();
+  for (int e = 0; e < kMinEpochs || NowSeconds() - t_rounds < args.seconds;
+       ++e) {
+    probe.Sample();
+    if (e == 1) steady = RegistryDelta();
+    const bool untraced_epoch = args.trace && e % 2 == 1;
+    if (untraced_epoch) obs::SetEnabled(false);
+    const double c0 = ProcessCpuSeconds();
+    const double t0 = NowSeconds();
+    model->BeginEpoch(e, &rng);
+    const double t1 = NowSeconds();
+    const double loss = model->TrainEpoch(&rng, nullptr);
+    const double t2 = NowSeconds();
+    const double c2 = ProcessCpuSeconds();
+    if (untraced_epoch) obs::SetEnabled(true);
+    out.Check(std::isfinite(loss),
+              "epoch " + std::to_string(e) + " loss is not finite");
+    if (e > 0 && untraced_epoch) {
+      untraced_s.push_back(t2 - t0);
+      untraced_wall += t2 - t0;
+    } else if (e > 0) {
+      epoch_s.push_back(t2 - t0);
+      epoch_cpu_s.push_back(c2 - c0);
+      resample_s.push_back(t1 - t0);
+      steady_wall += t2 - t0;
+    }
+    if (args.trace) obs::SetEnabled(false);
+    recalls.push_back(evaluate());
+    std::unique_ptr<data::Dataset> other_ds;
+    std::unique_ptr<core::LayerGcn> other_model;
+    util::Rng other_rng(kDataSeed);
+    set_up(&other_ds, &other_model, &other_rng);
+    if (args.trace) obs::SetEnabled(true);
   }
+  steady.Close();
+  training.Close();
+  const double steady_epochs =
+      static_cast<double>(std::max<size_t>(1, epoch_s.size()));
+  // The same model evaluated again ranks exactly as before.
+  if (args.trace) obs::SetEnabled(false);
+  const double recall20 = evaluate();
+  if (args.trace) obs::SetEnabled(true);
+  out.Check(recall20 == recalls.back() && recall20 > 0.0,
+            "repeated evaluation changed Recall@20");
+  // Every sample, so a run the host disturbed part-way shows.
+  auto list_note = [&out](std::string note, const std::vector<double>& v) {
+    for (const double t : v) note.append(" ").append(std::to_string(t));
+    out.notes.push_back(note);
+  };
+  list_note("set-ups (wall s):", setup_s);
+  list_note("set-ups (CPU s):", setup_cpu_s);
+  list_note("epochs after the first (wall s):", epoch_s);
+  list_note("epochs after the first (CPU s):", epoch_cpu_s);
+  list_note("evaluations (wall s):", eval_s);
+  list_note("evaluations (CPU s):", eval_cpu_s);
+  list_note("speed probes (CPU s):", probe.samples());
+  list_note("test Recall@20 after each epoch:", recalls);
 
   // --- Correctness: served ranking == evaluation kernel ranking ----------
   const double t_check = NowSeconds();
@@ -229,13 +247,15 @@ Result RunTrain(const Args& args) {
   const double check_s = NowSeconds() - t_check;
 
   if (!args.trace) {
-    out.Add("setup_s", Median(setup_s), "s",
-            static_cast<int64_t>(setup_s.size()));
-    out.Add("epoch_s", Median(epoch_s), "s",
-            static_cast<int64_t>(epoch_s.size()));
-    out.Add("eval_s", Median(eval_s), "s", kEvals);
-    out.Add("recall20", recall20, "ratio",
-            static_cast<int64_t>(ds->test_users.size()));
+    const double scale = probe.Scale();
+    out.Add("setup_s", Median(setup_cpu_s) * scale, "s",
+            static_cast<int64_t>(setup_cpu_s.size()));
+    out.Add("op_ms", Median(epoch_cpu_s) * 1e3 * scale, "ms",
+            static_cast<int64_t>(epoch_cpu_s.size()));
+    out.Add("rate_per_s",
+            static_cast<double>(ds->test_users.size()) /
+                (Median(eval_cpu_s) * scale),
+            "1/s", static_cast<int64_t>(eval_cpu_s.size()));
     return out;
   }
 
@@ -323,7 +343,7 @@ Result RunTrain(const Args& args) {
   const double untraced = Median(untraced_s);
   out.Add("obs.trace_overhead_frac",
           untraced > 0 ? Median(epoch_s) / untraced - 1.0 : 0.0, "ratio");
-  out.Add("train.unattributed_frac", attr.UnattributedFrac(), "ratio");
+  out.Add("bench.unattributed_frac", attr.UnattributedFrac(), "ratio");
   return out;
 }
 
