@@ -310,7 +310,7 @@ std::vector<EncodingResult> RunQuantPass(uint64_t seed, bool* f32_parity_ok) {
   // spawning, not scoring).
   util::ThreadPool single(1);
   util::parallel::ScopedComputePool pinned(&single);
-  eval::FusedRankConfig one_thread;  // num_threads = 0: the pinned pool
+  eval::FusedRankConfig one_thread;  // runs on the pinned pool
 
   const tensor::Int8Rows user_i8 = tensor::QuantizeInt8PerRow(user_emb);
   const tensor::Int8Panel item_i8 =
@@ -320,11 +320,11 @@ std::vector<EncodingResult> RunQuantPass(uint64_t seed, bool* f32_parity_ok) {
       tensor::TransposeToPanel(tensor::ToBf16Rows(item_emb));
 
   // Time min-of-3 sweeps per encoding, issuing one single-user kernel call
-  // per request — the exact shape RecommendService::Recommend uses. This
-  // is where the precomputed item panels earn their keep: the f32 path
-  // re-transposes the item matrix every call, the quantized paths read
-  // their snapshot-resident panels directly. Quant structures are built
-  // once up front, as a snapshot load would.
+  // per request — the request shape RecommendService::Recommend uses. The
+  // f32 timing goes through the Matrix entry point, which re-transposes
+  // the item matrix every call (the service reads the panel its snapshot
+  // built at load instead); the quantized paths read prebuilt panels.
+  // Quant structures are built once up front, as a snapshot load would.
   auto timed = [&](auto&& fn, std::vector<std::vector<int32_t>>* ranked,
                    double* scores_per_sec) {
     double best_us = 0.0;

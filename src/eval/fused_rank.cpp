@@ -1,14 +1,9 @@
 #include "eval/fused_rank.h"
 
-#include <algorithm>
-#include <memory>
-
 #include "eval/metrics.h"
+#include "eval/quant_kernel.h"
 #include "eval/rank_heap.h"
-#include "obs/obs.h"
-#include "obs/trace.h"
-#include "tensor/gemm.h"
-#include "util/fault_injection.h"
+#include "tensor/ops.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/thread_pool.h"
@@ -17,10 +12,7 @@ namespace layergcn::eval {
 namespace {
 
 using internal::DeadlineExpired;
-using internal::HeapEntry;
-using internal::HeapPush;
 using internal::MaybeSlowScore;
-using internal::Worse;
 
 // Exact-reference fallback: materialize one score row per user with the
 // ascending-depth scalar dot, mark exclusions in a fresh flag vector, rank
@@ -73,139 +65,25 @@ std::vector<std::vector<int32_t>> FusedScoreTopK(
     const std::vector<std::vector<int32_t>>* exclude,
     const FusedRankConfig& config, RankDeadline* deadline,
     std::vector<std::vector<float>>* scores_out) {
+  if (config.enabled) {
+    // The panel is built per call here; serving reads the one
+    // ModelSnapshot::Load built instead.
+    const tensor::Matrix item_panel = tensor::Transpose(item_emb);
+    return RankTopK(F32Codec{user_emb, item_emb, &item_panel}, user_ids,
+                    nullptr, k, exclude, config, deadline, scores_out);
+  }
   LAYERGCN_CHECK_GT(k, 0);
   LAYERGCN_CHECK_EQ(user_emb.cols(), item_emb.cols())
       << "user/item embedding width mismatch";
-  const int64_t num_users = static_cast<int64_t>(user_ids.size());
-  const int64_t num_items = item_emb.rows();
-  const int64_t depth = item_emb.cols();
   std::vector<std::vector<int32_t>> out(user_ids.size());
   if (scores_out != nullptr) scores_out->assign(user_ids.size(), {});
-  if (num_users == 0 || num_items == 0) return out;
-  OBS_SPAN("eval.fused_rank");
-  OBS_COUNT("fused_rank.calls", 1);
-  OBS_COUNT("fused_rank.users_ranked", num_users);
-  // The fused kernel streams the full score matrix through GemmMicroPanel;
-  // account for that GEMM work here since the micro-kernel itself is not
-  // instrumented (it is the innermost hot loop).
-  OBS_COUNT("gemm.calls", 1);
-  OBS_COUNT("gemm.flops", 2 * num_users * num_items * depth);
-
-  // Optional dedicated pool (determinism tests sweep the worker count);
-  // otherwise the shared compute pool, so ScopedComputePool overrides apply.
-  std::unique_ptr<util::ThreadPool> local_pool;
-  util::ThreadPool* pool = util::parallel::ComputePool();
-  if (config.num_threads > 0) {
-    local_pool = std::make_unique<util::ThreadPool>(config.num_threads);
-    pool = local_pool.get();
-  }
-
-  if (!config.enabled) {
-    util::ParallelForRanges(pool, 0, num_users, [&](int64_t lo, int64_t hi) {
-      ReferenceTopK(user_emb, user_ids, item_emb, k, exclude, lo, hi, &out,
-                    deadline, scores_out);
-    });
-    return out;
-  }
-
-  // Item embeddings transposed once to (depth x num_items): the micro-kernel
-  // streams items with unit stride and the panel is shared by every tile.
-  tensor::Matrix items_t(depth, num_items);
-  for (int64_t i = 0; i < num_items; ++i) {
-    const float* src = item_emb.row(i);
-    for (int64_t p = 0; p < depth; ++p) items_t(p, i) = src[p];
-  }
-
-  const int64_t user_tile = std::max<int64_t>(1, config.user_tile);
-  const int64_t item_tile = std::max<int64_t>(tensor::kGemmTileN,
-                                              config.item_tile);
-  const int64_t cap = std::min<int64_t>(k, num_items);
-  const int64_t num_tiles = (num_users + user_tile - 1) / user_tile;
-
-  util::ParallelForRanges(pool, 0, num_tiles, [&](int64_t tile_lo,
-                                                  int64_t tile_hi) {
-    OBS_SPAN("eval.fused_rank.tiles");
-    OBS_COUNT("fused_rank.tiles", tile_hi - tile_lo);
-    // Per-worker scratch, allocated once per range and reused across tiles:
-    // the score block, the bounded heaps, and the exclusion cursors.
-    std::vector<float> scores(static_cast<size_t>(user_tile * item_tile));
-    std::vector<HeapEntry> heaps(static_cast<size_t>(user_tile * cap));
-    std::vector<int64_t> heap_sizes(static_cast<size_t>(user_tile));
-    std::vector<const float*> user_rows(static_cast<size_t>(user_tile));
-    std::vector<size_t> cursors(static_cast<size_t>(user_tile));
-
-    for (int64_t tile = tile_lo; tile < tile_hi; ++tile) {
-      if (DeadlineExpired(deadline)) break;  // untouched users stay empty
-      const int64_t base = tile * user_tile;
-      const int64_t m = std::min(user_tile, num_users - base);
-      for (int64_t r = 0; r < m; ++r) {
-        user_rows[static_cast<size_t>(r)] =
-            user_emb.row(user_ids[static_cast<size_t>(base + r)]);
-        heap_sizes[static_cast<size_t>(r)] = 0;
-        cursors[static_cast<size_t>(r)] = 0;
-      }
-
-      for (int64_t j0 = 0; j0 < num_items; j0 += item_tile) {
-        // Deadline is enforced at item-tile boundaries: cheap enough to
-        // check here, and a tile bounds how late expiry can be noticed.
-        MaybeSlowScore(deadline);
-        if (j0 > 0 && DeadlineExpired(deadline)) break;
-        const int64_t jn = std::min(item_tile, num_items - j0);
-        std::fill(scores.begin(), scores.begin() + m * jn, 0.f);
-        GemmMicroPanel(user_rows.data(), m, depth, items_t, j0, jn,
-                       scores.data(), jn);
-
-        // Stream the block into the heaps; item tiles arrive in ascending
-        // order, so each user's sorted exclusion list is walked by a single
-        // monotone cursor instead of a per-user flag vector.
-        for (int64_t r = 0; r < m; ++r) {
-          const std::vector<int32_t>* exc =
-              exclude != nullptr
-                  ? &(*exclude)[static_cast<size_t>(
-                        user_ids[static_cast<size_t>(base + r)])]
-                  : nullptr;
-          size_t& cur = cursors[static_cast<size_t>(r)];
-          const float* srow = scores.data() + r * jn;
-          HeapEntry* heap = heaps.data() + r * cap;
-          int64_t* hs = &heap_sizes[static_cast<size_t>(r)];
-          for (int64_t j = 0; j < jn; ++j) {
-            const int32_t item = static_cast<int32_t>(j0 + j);
-            if (exc != nullptr) {
-              while (cur < exc->size() && (*exc)[cur] < item) ++cur;
-              if (cur < exc->size() && (*exc)[cur] == item) {
-                ++cur;
-                continue;
-              }
-            }
-            HeapPush(heap, hs, cap, HeapEntry{srow[j], item});
-          }
-        }
-      }
-
-      // Extract whatever the heaps hold — the full top-K normally, a
-      // truncated prefix scan when the deadline cut the item loop short.
-      for (int64_t r = 0; r < m; ++r) {
-        HeapEntry* heap = heaps.data() + r * cap;
-        const int64_t hs = heap_sizes[static_cast<size_t>(r)];
-        std::sort(heap, heap + hs,
-                  [](const HeapEntry& a, const HeapEntry& b) {
-                    return Worse(b, a);
-                  });
-        std::vector<int32_t>& ranked = out[static_cast<size_t>(base + r)];
-        ranked.resize(static_cast<size_t>(hs));
-        for (int64_t i = 0; i < hs; ++i) {
-          ranked[static_cast<size_t>(i)] = heap[i].idx;
-        }
-        if (scores_out != nullptr) {
-          std::vector<float>& sc = (*scores_out)[static_cast<size_t>(base + r)];
-          sc.resize(static_cast<size_t>(hs));
-          for (int64_t i = 0; i < hs; ++i) {
-            sc[static_cast<size_t>(i)] = heap[i].score;
-          }
-        }
-      }
-    }
-  });
+  if (item_emb.rows() == 0) return out;
+  util::ParallelForRanges(
+      util::parallel::ComputePool(), 0, static_cast<int64_t>(user_ids.size()),
+      [&](int64_t lo, int64_t hi) {
+        ReferenceTopK(user_emb, user_ids, item_emb, k, exclude, lo, hi, &out,
+                      deadline, scores_out);
+      });
   return out;
 }
 
@@ -215,37 +93,8 @@ std::vector<std::vector<int32_t>> FusedScoreTopKSubset(
     int k, const std::vector<std::vector<int32_t>>* exclude,
     const FusedRankConfig& config, RankDeadline* deadline,
     std::vector<std::vector<float>>* scores_out) {
-  LAYERGCN_CHECK_GT(k, 0);
-  LAYERGCN_CHECK_EQ(user_emb.cols(), item_emb.cols())
-      << "user/item embedding width mismatch";
-  const int64_t n = static_cast<int64_t>(candidates.size());
-  const int64_t depth = item_emb.cols();
-  std::vector<std::vector<int32_t>> out(user_ids.size());
-  if (scores_out != nullptr) scores_out->assign(user_ids.size(), {});
-  if (user_ids.empty() || n == 0) return out;
-  OBS_SPAN("eval.fused_rank.subset");
-  OBS_COUNT("fused_rank.subset_calls", 1);
-
-  const int64_t cap = std::min<int64_t>(k, n);
-  const int64_t item_tile = std::max<int64_t>(16, config.item_tile);
-  std::vector<HeapEntry> heap;
-  for (size_t r = 0; r < user_ids.size(); ++r) {
-    if (r > 0 && DeadlineExpired(deadline)) break;
-    const int32_t u = user_ids[r];
-    const float* urow = user_emb.row(u);
-    const std::vector<int32_t>* exc =
-        exclude != nullptr ? &(*exclude)[static_cast<size_t>(u)] : nullptr;
-    internal::RankCandidateSubset(
-        candidates.data(), n, cap, item_tile, exc, deadline, &heap, &out[r],
-        scores_out != nullptr ? &(*scores_out)[r] : nullptr,
-        [&](int32_t item) {
-          const float* irow = item_emb.row(item);
-          float acc = 0.f;
-          for (int64_t p = 0; p < depth; ++p) acc += urow[p] * irow[p];
-          return acc;
-        });
-  }
-  return out;
+  return RankTopK(F32Codec{user_emb, item_emb, nullptr}, user_ids,
+                  &candidates, k, exclude, config, deadline, scores_out);
 }
 
 }  // namespace layergcn::eval

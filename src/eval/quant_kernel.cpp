@@ -1,133 +1,13 @@
 #include "eval/quant_kernel.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "eval/rank_heap.h"
-#include "obs/trace.h"
+#include "obs/metrics.h"
+#include "tensor/gemm.h"
 #include "util/logging.h"
-#include "util/parallel.h"
-#include "util/thread_pool.h"
 
 namespace layergcn::eval {
-namespace {
-
-using internal::DeadlineExpired;
-using internal::HeapEntry;
-using internal::HeapPush;
-using internal::MaybeSlowScore;
-using internal::Worse;
-
-// The shared tile traversal: `score_block(r, j0, jn, out)` fills `out[j]`
-// with the score of (tile user r, item j0 + j) for j in [0, jn). Everything
-// around it — tiling, exclusion cursors, heaps, deadline checks, result
-// extraction — is encoding-independent and identical to FusedScoreTopK.
-template <typename ScoreBlock>
-std::vector<std::vector<int32_t>> TiledScoreTopK(
-    int64_t num_users_total, const std::vector<int32_t>& user_ids,
-    int64_t num_items, int k,
-    const std::vector<std::vector<int32_t>>* exclude,
-    const FusedRankConfig& config, RankDeadline* deadline,
-    std::vector<std::vector<float>>* scores_out, const char* span_name,
-    ScoreBlock&& score_block) {
-  LAYERGCN_CHECK_GT(k, 0);
-  (void)num_users_total;
-  const int64_t num_users = static_cast<int64_t>(user_ids.size());
-  std::vector<std::vector<int32_t>> out(user_ids.size());
-  if (scores_out != nullptr) scores_out->assign(user_ids.size(), {});
-  if (num_users == 0 || num_items == 0) return out;
-  OBS_SPAN(span_name);
-  OBS_COUNT("quant_rank.calls", 1);
-  OBS_COUNT("quant_rank.users_ranked", num_users);
-
-  std::unique_ptr<util::ThreadPool> local_pool;
-  util::ThreadPool* pool = util::parallel::ComputePool();
-  if (config.num_threads > 0) {
-    local_pool = std::make_unique<util::ThreadPool>(config.num_threads);
-    pool = local_pool.get();
-  }
-
-  const int64_t user_tile = std::max<int64_t>(1, config.user_tile);
-  const int64_t item_tile = std::max<int64_t>(16, config.item_tile);
-  const int64_t cap = std::min<int64_t>(k, num_items);
-  const int64_t num_tiles = (num_users + user_tile - 1) / user_tile;
-
-  util::ParallelForRanges(pool, 0, num_tiles, [&](int64_t tile_lo,
-                                                  int64_t tile_hi) {
-    std::vector<float> scores(static_cast<size_t>(item_tile));
-    std::vector<HeapEntry> heaps(static_cast<size_t>(user_tile * cap));
-    std::vector<int64_t> heap_sizes(static_cast<size_t>(user_tile));
-    std::vector<size_t> cursors(static_cast<size_t>(user_tile));
-
-    for (int64_t tile = tile_lo; tile < tile_hi; ++tile) {
-      if (DeadlineExpired(deadline)) break;  // untouched users stay empty
-      const int64_t base = tile * user_tile;
-      const int64_t m = std::min(user_tile, num_users - base);
-      for (int64_t r = 0; r < m; ++r) {
-        heap_sizes[static_cast<size_t>(r)] = 0;
-        cursors[static_cast<size_t>(r)] = 0;
-      }
-
-      for (int64_t j0 = 0; j0 < num_items; j0 += item_tile) {
-        // Deadline is enforced at item-tile boundaries, exactly like the
-        // f32 kernel: cheap to check, bounded detection latency.
-        MaybeSlowScore(deadline);
-        if (j0 > 0 && DeadlineExpired(deadline)) break;
-        const int64_t jn = std::min(item_tile, num_items - j0);
-        for (int64_t r = 0; r < m; ++r) {
-          score_block(user_ids[static_cast<size_t>(base + r)], j0, jn,
-                      scores.data());
-
-          const std::vector<int32_t>* exc =
-              exclude != nullptr
-                  ? &(*exclude)[static_cast<size_t>(
-                        user_ids[static_cast<size_t>(base + r)])]
-                  : nullptr;
-          size_t& cur = cursors[static_cast<size_t>(r)];
-          HeapEntry* heap = heaps.data() + r * cap;
-          int64_t* hs = &heap_sizes[static_cast<size_t>(r)];
-          for (int64_t j = 0; j < jn; ++j) {
-            const int32_t item = static_cast<int32_t>(j0 + j);
-            if (exc != nullptr) {
-              while (cur < exc->size() && (*exc)[cur] < item) ++cur;
-              if (cur < exc->size() && (*exc)[cur] == item) {
-                ++cur;
-                continue;
-              }
-            }
-            HeapPush(heap, hs, cap, HeapEntry{scores[static_cast<size_t>(j)],
-                                              item});
-          }
-        }
-      }
-
-      for (int64_t r = 0; r < m; ++r) {
-        HeapEntry* heap = heaps.data() + r * cap;
-        const int64_t hs = heap_sizes[static_cast<size_t>(r)];
-        std::sort(heap, heap + hs,
-                  [](const HeapEntry& a, const HeapEntry& b) {
-                    return Worse(b, a);
-                  });
-        std::vector<int32_t>& ranked = out[static_cast<size_t>(base + r)];
-        ranked.resize(static_cast<size_t>(hs));
-        for (int64_t i = 0; i < hs; ++i) {
-          ranked[static_cast<size_t>(i)] = heap[i].idx;
-        }
-        if (scores_out != nullptr) {
-          std::vector<float>& sc =
-              (*scores_out)[static_cast<size_t>(base + r)];
-          sc.resize(static_cast<size_t>(hs));
-          for (int64_t i = 0; i < hs; ++i) {
-            sc[static_cast<size_t>(i)] = heap[i].score;
-          }
-        }
-      }
-    }
-  });
-  return out;
-}
-
-}  // namespace
 
 const char* ScoreEncodingName(ScoreEncoding encoding) {
   switch (encoding) {
@@ -145,48 +25,154 @@ bool ParseScoreEncoding(const std::string& name, ScoreEncoding* out) {
   return false;
 }
 
+void F32Codec::Block(const int32_t* user_ids, int64_t m, int64_t j0,
+                     int64_t jn, float* out) const {
+  LAYERGCN_CHECK(item_panel != nullptr) << "f32 full scan needs the panel";
+  // GemmMicroPanel takes row pointers; one tile's worth per thread.
+  thread_local std::vector<const float*> rows;
+  rows.resize(static_cast<size_t>(m));
+  for (int64_t r = 0; r < m; ++r) {
+    rows[static_cast<size_t>(r)] = users.row(user_ids[r]);
+  }
+  std::fill(out, out + m * jn, 0.f);
+  tensor::GemmMicroPanel(rows.data(), m, users.cols(), *item_panel, j0, jn,
+                         out, jn);
+  // The micro-kernel itself is not instrumented (it is the innermost hot
+  // loop); account for its work here.
+  OBS_COUNT("gemm.calls", 1);
+  OBS_COUNT("gemm.flops", 2 * m * jn * users.cols());
+}
+
+float F32Codec::Pair(int32_t user, int32_t item) const {
+  const float* urow = users.row(user);
+  const float* irow = items.row(item);
+  float acc = 0.f;
+  for (int64_t p = 0; p < users.cols(); ++p) acc += urow[p] * irow[p];
+  return acc;
+}
+
+void Int8Codec::Block(const int32_t* user_ids, int64_t m, int64_t j0,
+                      int64_t jn, float* out) const {
+  // Per-thread int32 accumulator run; each call is single-threaded within
+  // one worker, so thread_local scratch is race-free and allocation-free on
+  // the hot path.
+  thread_local std::vector<int32_t> acc;
+  acc.resize(static_cast<size_t>(jn));
+  int32_t* a = acc.data();
+  const float* si = item_panel.scales.data() + j0;
+  for (int64_t r = 0; r < m; ++r) {
+    std::fill(a, a + jn, 0);
+    const int8_t* urow = users.row(user_ids[r]);
+    for (int64_t p = 0; p < users.cols; ++p) {
+      const int32_t uq = urow[p];
+      if (uq == 0) continue;
+      const int8_t* prow = item_panel.depth_row(p) + j0;
+#pragma omp simd
+      for (int64_t j = 0; j < jn; ++j) {
+        a[j] += uq * static_cast<int32_t>(prow[j]);
+      }
+    }
+    const float su = users.scales[static_cast<size_t>(user_ids[r])];
+    float* orow = out + r * jn;
+#pragma omp simd
+    for (int64_t j = 0; j < jn; ++j) {
+      orow[j] = su * si[j] * static_cast<float>(a[j]);
+    }
+  }
+}
+
+float Int8Codec::Pair(int32_t user, int32_t item) const {
+  // Exact int32 accumulation — the same integer sum Block computes, just
+  // gathered column-wise from the depth-major panel.
+  const int8_t* urow = users.row(user);
+  const int8_t* col = item_panel.data.data() + item;
+  int32_t acc = 0;
+  for (int64_t p = 0; p < users.cols; ++p) {
+    acc += static_cast<int32_t>(urow[p]) *
+           static_cast<int32_t>(col[p * item_panel.count]);
+  }
+  return users.scales[static_cast<size_t>(user)] *
+         item_panel.scales[static_cast<size_t>(item)] *
+         static_cast<float>(acc);
+}
+
+void Bf16Codec::Block(const int32_t* user_ids, int64_t m, int64_t j0,
+                      int64_t jn, float* out) const {
+  // The user row widens to f32 once per block; items widen in-register in
+  // the inner loop (a 16-bit shift, vectorizable).
+  thread_local std::vector<float> urow_f32;
+  urow_f32.resize(static_cast<size_t>(users.cols));
+  for (int64_t r = 0; r < m; ++r) {
+    const uint16_t* urow = users.row(user_ids[r]);
+    for (int64_t p = 0; p < users.cols; ++p) {
+      urow_f32[static_cast<size_t>(p)] = tensor::Bf16ToF32(urow[p]);
+    }
+    float* orow = out + r * jn;
+    std::fill(orow, orow + jn, 0.f);
+    for (int64_t p = 0; p < users.cols; ++p) {
+      const float up = urow_f32[static_cast<size_t>(p)];
+      const uint16_t* prow = item_panel.depth_row(p) + j0;
+#pragma omp simd
+      for (int64_t j = 0; j < jn; ++j) {
+        orow[j] += up * tensor::Bf16ToF32(prow[j]);
+      }
+    }
+  }
+}
+
+float Bf16Codec::Pair(int32_t user, int32_t item) const {
+  // Ascending-depth f32 accumulation of widened products — the exact
+  // per-element order of Block.
+  const uint16_t* urow = users.row(user);
+  const uint16_t* col = item_panel.data.data() + item;
+  float acc = 0.f;
+  for (int64_t p = 0; p < users.cols; ++p) {
+    acc += tensor::Bf16ToF32(urow[p]) *
+           tensor::Bf16ToF32(col[p * item_panel.count]);
+  }
+  return acc;
+}
+
+namespace {
+
+int64_t UserDepth(const F32Codec& c) { return c.users.cols(); }
+int64_t UserDepth(const Int8Codec& c) { return c.users.cols; }
+int64_t UserDepth(const Bf16Codec& c) { return c.users.cols; }
+int64_t ItemDepth(const F32Codec& c) { return c.items.cols(); }
+int64_t ItemDepth(const Int8Codec& c) { return c.item_panel.depth; }
+int64_t ItemDepth(const Bf16Codec& c) { return c.item_panel.depth; }
+
+}  // namespace
+
+std::vector<std::vector<int32_t>> RankTopK(
+    const RowCodec& codec, const std::vector<int32_t>& user_ids,
+    const std::vector<int32_t>* candidates, int k,
+    const std::vector<std::vector<int32_t>>* exclude,
+    const FusedRankConfig& config, RankDeadline* deadline,
+    std::vector<std::vector<float>>* scores_out) {
+  return std::visit(
+      [&](const auto& c) {
+        LAYERGCN_CHECK_EQ(UserDepth(c), ItemDepth(c))
+            << "user/item embedding width mismatch";
+        const internal::ItemSource source =
+            candidates != nullptr
+                ? internal::ItemSource{candidates->data(),
+                                       static_cast<int64_t>(candidates->size())}
+                : internal::ItemSource{nullptr, c.num_items()};
+        return internal::TiledTopK(c, user_ids, source, k, exclude, config,
+                                   deadline, scores_out);
+      },
+      codec);
+}
+
 std::vector<std::vector<int32_t>> QuantScoreTopKInt8(
     const tensor::Int8Rows& user_q, const std::vector<int32_t>& user_ids,
     const tensor::Int8Panel& item_panel, int k,
     const std::vector<std::vector<int32_t>>* exclude,
     const FusedRankConfig& config, RankDeadline* deadline,
     std::vector<std::vector<float>>* scores_out) {
-  LAYERGCN_CHECK_EQ(user_q.cols, item_panel.depth)
-      << "int8 user/item depth mismatch";
-  const int64_t depth = item_panel.depth;
-  const int64_t num_items = item_panel.count;
-
-  // Per-thread int32 accumulator tile, sized once. Each call to the block
-  // lambda is single-threaded within one worker, so a thread_local scratch
-  // is race-free and allocation-free on the hot path.
-  thread_local std::vector<int32_t> acc;
-
-  return TiledScoreTopK(
-      user_q.rows, user_ids, num_items, k, exclude, config, deadline,
-      scores_out, "eval.quant_rank.int8",
-      [&](int32_t user, int64_t j0, int64_t jn, float* out_scores) {
-        if (static_cast<int64_t>(acc.size()) < jn) {
-          acc.resize(static_cast<size_t>(jn));
-        }
-        int32_t* a = acc.data();
-        std::fill(a, a + jn, 0);
-        const int8_t* urow = user_q.row(user);
-        for (int64_t p = 0; p < depth; ++p) {
-          const int32_t uq = urow[p];
-          if (uq == 0) continue;
-          const int8_t* prow = item_panel.depth_row(p) + j0;
-#pragma omp simd
-          for (int64_t j = 0; j < jn; ++j) {
-            a[j] += uq * static_cast<int32_t>(prow[j]);
-          }
-        }
-        const float su = user_q.scales[static_cast<size_t>(user)];
-        const float* si = item_panel.scales.data() + j0;
-#pragma omp simd
-        for (int64_t j = 0; j < jn; ++j) {
-          out_scores[j] = su * si[j] * static_cast<float>(a[j]);
-        }
-      });
+  return RankTopK(Int8Codec{user_q, item_panel}, user_ids, nullptr, k,
+                  exclude, config, deadline, scores_out);
 }
 
 std::vector<std::vector<int32_t>> QuantScoreTopKBf16(
@@ -195,76 +181,9 @@ std::vector<std::vector<int32_t>> QuantScoreTopKBf16(
     const std::vector<std::vector<int32_t>>* exclude,
     const FusedRankConfig& config, RankDeadline* deadline,
     std::vector<std::vector<float>>* scores_out) {
-  LAYERGCN_CHECK_EQ(user_q.cols, item_panel.depth)
-      << "bf16 user/item depth mismatch";
-  const int64_t depth = item_panel.depth;
-  const int64_t num_items = item_panel.count;
-
-  // The user row widens to f32 once per block; items widen in-register in
-  // the inner loop (a 16-bit shift, vectorizable).
-  thread_local std::vector<float> urow_f32;
-
-  return TiledScoreTopK(
-      user_q.rows, user_ids, num_items, k, exclude, config, deadline,
-      scores_out, "eval.quant_rank.bf16",
-      [&](int32_t user, int64_t j0, int64_t jn, float* out_scores) {
-        if (static_cast<int64_t>(urow_f32.size()) < depth) {
-          urow_f32.resize(static_cast<size_t>(depth));
-        }
-        const uint16_t* urow = user_q.row(user);
-        for (int64_t p = 0; p < depth; ++p) {
-          urow_f32[static_cast<size_t>(p)] = tensor::Bf16ToF32(urow[p]);
-        }
-        std::fill(out_scores, out_scores + jn, 0.f);
-        for (int64_t p = 0; p < depth; ++p) {
-          const float up = urow_f32[static_cast<size_t>(p)];
-          const uint16_t* prow = item_panel.depth_row(p) + j0;
-#pragma omp simd
-          for (int64_t j = 0; j < jn; ++j) {
-            out_scores[j] += up * tensor::Bf16ToF32(prow[j]);
-          }
-        }
-      });
+  return RankTopK(Bf16Codec{user_q, item_panel}, user_ids, nullptr, k,
+                  exclude, config, deadline, scores_out);
 }
-
-namespace {
-
-// Shared scaffolding for the quantized subset kernels: per-user serial
-// scan through internal::RankCandidateSubset with a per-pair score
-// callback (see rank_heap.h for the determinism/parity argument).
-template <typename ScorePair>
-std::vector<std::vector<int32_t>> SubsetTopK(
-    const std::vector<int32_t>& user_ids, const std::vector<int32_t>& candidates,
-    int64_t num_items, int k, const std::vector<std::vector<int32_t>>* exclude,
-    const FusedRankConfig& config, RankDeadline* deadline,
-    std::vector<std::vector<float>>* scores_out, const char* span_name,
-    ScorePair&& score) {
-  LAYERGCN_CHECK_GT(k, 0);
-  (void)num_items;
-  const int64_t n = static_cast<int64_t>(candidates.size());
-  std::vector<std::vector<int32_t>> out(user_ids.size());
-  if (scores_out != nullptr) scores_out->assign(user_ids.size(), {});
-  if (user_ids.empty() || n == 0) return out;
-  OBS_SPAN(span_name);
-  OBS_COUNT("quant_rank.subset_calls", 1);
-
-  const int64_t cap = std::min<int64_t>(k, n);
-  const int64_t item_tile = std::max<int64_t>(16, config.item_tile);
-  std::vector<HeapEntry> heap;
-  for (size_t r = 0; r < user_ids.size(); ++r) {
-    if (r > 0 && DeadlineExpired(deadline)) break;
-    const int32_t u = user_ids[r];
-    const std::vector<int32_t>* exc =
-        exclude != nullptr ? &(*exclude)[static_cast<size_t>(u)] : nullptr;
-    internal::RankCandidateSubset(
-        candidates.data(), n, cap, item_tile, exc, deadline, &heap, &out[r],
-        scores_out != nullptr ? &(*scores_out)[r] : nullptr,
-        [&](int32_t item) { return score(u, item); });
-  }
-  return out;
-}
-
-}  // namespace
 
 std::vector<std::vector<int32_t>> QuantScoreTopKInt8Subset(
     const tensor::Int8Rows& user_q, const std::vector<int32_t>& user_ids,
@@ -273,26 +192,8 @@ std::vector<std::vector<int32_t>> QuantScoreTopKInt8Subset(
     const std::vector<std::vector<int32_t>>* exclude,
     const FusedRankConfig& config, RankDeadline* deadline,
     std::vector<std::vector<float>>* scores_out) {
-  LAYERGCN_CHECK_EQ(user_q.cols, item_panel.depth)
-      << "int8 user/item depth mismatch";
-  const int64_t depth = item_panel.depth;
-  const int64_t count = item_panel.count;
-  return SubsetTopK(
-      user_ids, candidates, count, k, exclude, config, deadline, scores_out,
-      "eval.quant_rank.int8_subset", [&](int32_t user, int32_t item) {
-        // Exact int32 accumulation — the same integer sum the full kernel
-        // computes, just gathered column-wise from the depth-major panel.
-        const int8_t* urow = user_q.row(user);
-        const int8_t* col = item_panel.data.data() + item;
-        int32_t acc = 0;
-        for (int64_t p = 0; p < depth; ++p) {
-          acc += static_cast<int32_t>(urow[p]) *
-                 static_cast<int32_t>(col[p * count]);
-        }
-        return user_q.scales[static_cast<size_t>(user)] *
-               item_panel.scales[static_cast<size_t>(item)] *
-               static_cast<float>(acc);
-      });
+  return RankTopK(Int8Codec{user_q, item_panel}, user_ids, &candidates, k,
+                  exclude, config, deadline, scores_out);
 }
 
 std::vector<std::vector<int32_t>> QuantScoreTopKBf16Subset(
@@ -302,23 +203,8 @@ std::vector<std::vector<int32_t>> QuantScoreTopKBf16Subset(
     const std::vector<std::vector<int32_t>>* exclude,
     const FusedRankConfig& config, RankDeadline* deadline,
     std::vector<std::vector<float>>* scores_out) {
-  LAYERGCN_CHECK_EQ(user_q.cols, item_panel.depth)
-      << "bf16 user/item depth mismatch";
-  const int64_t depth = item_panel.depth;
-  const int64_t count = item_panel.count;
-  return SubsetTopK(
-      user_ids, candidates, count, k, exclude, config, deadline, scores_out,
-      "eval.quant_rank.bf16_subset", [&](int32_t user, int32_t item) {
-        // Ascending-depth f32 accumulation of widened products — the exact
-        // per-element order of the full bf16 kernel.
-        const uint16_t* urow = user_q.row(user);
-        const uint16_t* col = item_panel.data.data() + item;
-        float acc = 0.f;
-        for (int64_t p = 0; p < depth; ++p) {
-          acc += tensor::Bf16ToF32(urow[p]) * tensor::Bf16ToF32(col[p * count]);
-        }
-        return acc;
-      });
+  return RankTopK(Bf16Codec{user_q, item_panel}, user_ids, &candidates, k,
+                  exclude, config, deadline, scores_out);
 }
 
 }  // namespace layergcn::eval

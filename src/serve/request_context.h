@@ -10,7 +10,7 @@
 //               at admission or expired while queued)
 //   snapshot    snapshot fetch + request validation
 //   cache       score-cache lookup (hits end the request here)
-//   score       rank-kernel execution (FusedScoreTopK / quant kernels),
+//   score       rank-traversal execution (eval::RankTopK, any encoding),
 //               including the popularity fallback when degraded
 //   serialize   response JSON construction + write (filled by the driver)
 //

@@ -5,6 +5,7 @@
 #include <filesystem>
 
 #include "obs/metrics.h"
+#include "tensor/ops.h"
 #include "train/checkpoint.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -30,12 +31,14 @@ util::StatusOr<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
   snap->item_emb_ = std::move(ex.item_emb);
   snap->user_history_ = std::move(ex.user_history);
 
-  // Quantized copies: keep user rows row-major (one row gathered per
-  // request) and transpose item rows to depth-major panels once, here, so
-  // the quantized kernels stream items with unit stride and never pay a
-  // per-request transpose. A dropped (corrupt / truncated / stale-shape)
-  // quant section degrades this snapshot to f32-only — counted so
-  // operators can see quantized serving silently disabled itself.
+  // Every encoding keeps its user rows row-major (one row gathered per
+  // request) and has its item rows transposed to a depth-major panel once,
+  // here, so the rank traversal streams items with unit stride and never
+  // pays a per-request transpose. A dropped (corrupt / truncated /
+  // stale-shape) quant section degrades this snapshot to f32-only —
+  // counted so operators can see quantized serving silently disabled
+  // itself.
+  snap->item_panel_ = tensor::Transpose(snap->item_emb_);
   if (ex.quant_dropped) {
     OBS_COUNT("serve.snapshot_fallbacks", 1);
     LAYERGCN_LOG(kWarning) << path << ": quantized sections dropped; "
@@ -93,6 +96,20 @@ util::StatusOr<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
 
   OBS_COUNT("serve.snapshot_loads", 1);
   return std::shared_ptr<const ModelSnapshot>(std::move(snap));
+}
+
+eval::RowCodec ModelSnapshot::codec(eval::ScoreEncoding encoding) const {
+  switch (encoding) {
+    case eval::ScoreEncoding::kInt8:
+      LAYERGCN_CHECK(has_int8_);
+      return eval::Int8Codec{user_int8_, item_int8_panel_};
+    case eval::ScoreEncoding::kBf16:
+      LAYERGCN_CHECK(has_bf16_);
+      return eval::Bf16Codec{user_bf16_, item_bf16_panel_};
+    case eval::ScoreEncoding::kF32:
+      break;
+  }
+  return eval::F32Codec{user_emb_, item_emb_, &item_panel_};
 }
 
 std::string SnapshotStore::SnapshotPath(const std::string& dir,

@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "eval/quant_kernel.h"
 #include "serve/item_index.h"
 #include "tensor/matrix.h"
 #include "tensor/quant.h"
@@ -61,9 +62,7 @@ class ModelSnapshot {
   const tensor::Matrix& item_emb() const { return item_emb_; }
 
   /// Quantized embedding copies, present when the serving export carried
-  /// valid int8 / bf16 sections. Item sides are pre-transposed to
-  /// depth-major panels at load time so the quantized kernels do zero
-  /// per-request data movement. A snapshot whose quant sections were
+  /// valid int8 / bf16 sections. A snapshot whose quant sections were
   /// corrupt or absent simply reports has_int8()/has_bf16() == false and
   /// serves from the f32 reference.
   bool has_int8() const { return has_int8_; }
@@ -72,6 +71,12 @@ class ModelSnapshot {
   const tensor::Int8Panel& item_int8_panel() const { return item_int8_panel_; }
   const tensor::Bf16Rows& user_bf16() const { return user_bf16_; }
   const tensor::Bf16Panel& item_bf16_panel() const { return item_bf16_panel_; }
+
+  /// What the rank traversal reads for `encoding` (see eval/quant_kernel.h).
+  /// Every encoding's item side is a depth-major panel transposed once,
+  /// here at load, so no request pays a transpose. The encoding must be
+  /// present (f32 always is).
+  eval::RowCodec codec(eval::ScoreEncoding encoding) const;
 
   /// Sorted-ascending training items per user id (exclusion lists).
   const std::vector<std::vector<int32_t>>& user_history() const {
@@ -96,6 +101,7 @@ class ModelSnapshot {
   int64_t version_ = 0;
   tensor::Matrix user_emb_;
   tensor::Matrix item_emb_;
+  tensor::Matrix item_panel_;  // depth-major transpose of item_emb_
   std::vector<std::vector<int32_t>> user_history_;
   std::vector<int32_t> popular_items_;
   std::vector<int64_t> item_counts_;

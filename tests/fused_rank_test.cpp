@@ -19,7 +19,9 @@
 #include "gtest/gtest.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
+#include "util/parallel.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace layergcn::eval {
 namespace {
@@ -147,8 +149,9 @@ TEST(FusedRankTest, DeterministicAcrossThreadCounts) {
 
   std::vector<std::vector<std::vector<int32_t>>> results;
   for (int threads : {1, 2, 8}) {
+    util::ThreadPool pool(threads);
+    util::parallel::ScopedComputePool scope(&pool);
     FusedRankConfig cfg;
-    cfg.num_threads = threads;
     cfg.user_tile = 16;  // several tiles per worker
     cfg.item_tile = 128;
     results.push_back(

@@ -14,7 +14,9 @@
 #include "eval/quant_kernel.h"
 #include "tensor/matrix.h"
 #include "tensor/quant.h"
+#include "util/parallel.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace layergcn {
 namespace {
@@ -221,16 +223,21 @@ TEST(QuantKernelTest, RankingsBitIdenticalAcrossThreadsAndTiles) {
       tensor::TransposeToPanel(tensor::ToBf16Rows(f.item_emb));
 
   eval::FusedRankConfig base;
-  base.num_threads = 1;
-  const auto int8_base = eval::QuantScoreTopKInt8(uq8, f.user_ids, ip8, 10,
-                                                  &f.history, base);
-  const auto bf16_base = eval::QuantScoreTopKBf16(uq16, f.user_ids, ip16, 10,
-                                                  &f.history, base);
+  util::ThreadPool one_thread(1);
+  std::vector<std::vector<int32_t>> int8_base, bf16_base;
+  {
+    util::parallel::ScopedComputePool scope(&one_thread);
+    int8_base = eval::QuantScoreTopKInt8(uq8, f.user_ids, ip8, 10,
+                                         &f.history, base);
+    bf16_base = eval::QuantScoreTopKBf16(uq16, f.user_ids, ip16, 10,
+                                         &f.history, base);
+  }
   for (const int threads : {1, 8}) {
+    util::ThreadPool pool(threads);
+    util::parallel::ScopedComputePool scope(&pool);
     for (const int64_t item_tile : {16, 64, 1024}) {
       for (const int64_t user_tile : {1, 5, 64}) {
         eval::FusedRankConfig cfg;
-        cfg.num_threads = threads;
         cfg.item_tile = item_tile;
         cfg.user_tile = user_tile;
         EXPECT_EQ(eval::QuantScoreTopKInt8(uq8, f.user_ids, ip8, 10,
@@ -250,7 +257,8 @@ TEST(QuantKernelTest, QuantTopKOverlapsF32TopK) {
   const QuantFixture f;
   const int k = 20;
   eval::FusedRankConfig cfg;
-  cfg.num_threads = 1;
+  util::ThreadPool pool(1);
+  util::parallel::ScopedComputePool scope(&pool);
   const auto f32 = eval::FusedScoreTopK(f.user_emb, f.user_ids, f.item_emb,
                                         k, &f.history, cfg);
   const auto int8 = eval::QuantScoreTopKInt8(

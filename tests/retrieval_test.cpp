@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "eval/fused_rank.h"
 #include "eval/quant_kernel.h"
 #include "obs/metrics.h"
+#include "obs/obs.h"
 #include "serve/item_index.h"
 #include "serve/recommend_service.h"
 #include "serve/snapshot.h"
@@ -316,6 +319,54 @@ TEST_F(RetrievalTest, SubsetKLargerThanCandidatePool) {
   EXPECT_EQ(ranked[0].size(), 3u);  // K = 10, only 3 candidates
   EXPECT_EQ(ranked[1].size(), 2u);  // one candidate excluded
   for (const int32_t item : ranked[1]) EXPECT_NE(item, 17);
+}
+
+// One deadline rule for both candidate sources: the deadline is checked
+// before each user tile and at every item-run boundary after the first. A
+// deadline that passed before the call scores nothing; one that expires
+// inside the first run (the slow-score stall) keeps that run's ranking.
+TEST_F(RetrievalTest, DeadlineRuleSameForFullScanAndCandidateList) {
+  const tensor::Matrix users = RandomMatrix(3, 8, 0x700);
+  const tensor::Matrix items = RandomMatrix(64, 8, 0x701);
+  const std::vector<int32_t> user_ids{0, 1, 2};
+  std::vector<int32_t> all_items(64);
+  std::iota(all_items.begin(), all_items.end(), 0);
+  eval::FusedRankConfig config;
+  config.item_tile = 16;
+
+  using RankFn = std::function<std::vector<std::vector<int32_t>>(
+      eval::RankDeadline*)>;
+  const std::vector<std::pair<std::string, RankFn>> sources = {
+      {"full scan",
+       [&](eval::RankDeadline* deadline) {
+         return eval::FusedScoreTopK(users, user_ids, items, 10, nullptr,
+                                     config, deadline);
+       }},
+      {"candidate list",
+       [&](eval::RankDeadline* deadline) {
+         return eval::FusedScoreTopKSubset(users, user_ids, items, all_items,
+                                           10, nullptr, config, deadline);
+       }},
+  };
+  for (const auto& [name, rank] : sources) {
+    eval::RankDeadline passed;
+    passed.deadline_us = obs::NowMicros() + 1;
+    while (obs::NowMicros() <= passed.deadline_us) {
+    }
+    const auto none = rank(&passed);
+    EXPECT_TRUE(passed.expired.load()) << name;
+    for (const auto& ranked : none) EXPECT_TRUE(ranked.empty()) << name;
+
+    util::fault::Arm("serve.slow_score");
+    eval::RankDeadline slow;
+    slow.deadline_us = obs::NowMicros() + 100'000;
+    const auto partial = rank(&slow);
+    EXPECT_TRUE(slow.expired.load()) << name;
+    for (const auto& ranked : partial) {
+      ASSERT_EQ(ranked.size(), 10u) << name;
+      for (const int32_t item : ranked) EXPECT_LT(item, 16) << name;
+    }
+  }
 }
 
 // --------------------------------------------------------- service wiring

@@ -210,7 +210,6 @@ TEST_F(ServeTest, DeadlineExpiryMidBlockReturnsPartialPrefix) {
   ASSERT_TRUE(store.Reload().ok());
   RecommendServiceOptions opt;
   opt.rank.item_tile = 16;
-  opt.rank.num_threads = 1;
   RecommendService service(&store, opt);
 
   // The stall fires after the first tile and spins until deadline + 1ms,
@@ -265,7 +264,6 @@ TEST_F(ServeTest, QueueOverflowShedsWithResourceExhausted) {
 
   RecommendServiceOptions opt;
   opt.queue_capacity = 2;
-  opt.rank.num_threads = 1;  // dedicated kernel pool; never our blocked one
   {
     RecommendService service(&store, opt);
     auto f1 = service.Submit({0, 3, 0});
@@ -309,7 +307,6 @@ TEST_F(ServeTest, BudgetExpiredWhileQueuedShedsAtDequeueNeverScored) {
   });
 
   RecommendServiceOptions opt;
-  opt.rank.num_threads = 1;
   {
     RecommendService service(&store, opt);
     const obs::MetricsSnapshot before =
@@ -444,8 +441,9 @@ TEST_F(ServeTest, TopKBitIdenticalToEvaluatorKernelAt1And8Threads) {
 
   std::vector<std::vector<ScoredItem>> per_thread_results;
   for (const int threads : {1, 8}) {
+    util::ThreadPool pool(threads);
+    util::parallel::ScopedComputePool scope(&pool);
     eval::FusedRankConfig cfg;
-    cfg.num_threads = threads;
     // The Evaluator's ranking for these embeddings: the fused kernel over
     // every user with training items excluded (Evaluator::RankUsers makes
     // exactly this call).
@@ -455,7 +453,6 @@ TEST_F(ServeTest, TopKBitIdenticalToEvaluatorKernelAt1And8Threads) {
         /*deadline=*/nullptr, &ref_scores);
 
     RecommendServiceOptions opt;
-    opt.rank.num_threads = threads;
     RecommendService service(&store, opt);
     std::vector<ScoredItem> flat;
     for (int32_t u = 0; u < num_users; ++u) {

@@ -14,10 +14,14 @@
 #                       gates every test, including the trainer determinism
 #                       test, against data races in that layer.
 #
-# After the release tests, the `obs` stage trains a small synthetic run
-# through layergcn_cli with all three observability sinks (--trace-out,
-# --metrics-out, --telemetry-out) and gates the outputs with
-# validate_jsonl: any malformed JSON/JSONL fails the check.
+# After the release tests, the `perfbench` stage runs the benchmark's
+# statistics self-test (`perfbench/run.py --selftest`) and builds its
+# workload driver against the library.
+#
+# The `obs` stage trains a small synthetic run through layergcn_cli with
+# all three observability sinks (--trace-out, --metrics-out,
+# --telemetry-out) and gates the outputs with validate_jsonl: any
+# malformed JSON/JSONL fails the check.
 #
 # The `obs-serve` stage covers the serving-tier observability surfaces:
 # a 1k-request sweep through layergcn_serve with every sink attached
@@ -103,6 +107,18 @@ run_config() {
 }
 
 run_config release -DCMAKE_BUILD_TYPE=Release
+
+# The benchmark package (perfbench/, BENCHMARK.json) builds from this
+# checkout into .bench_build/: run its statistics self-test, then build the
+# workload driver, so a library API change that breaks the benchmark fails
+# here rather than at benchmark time.
+run_perfbench_stage() {
+  echo "=== [perfbench] statistics self-test ==="
+  ( cd "${repo_root}" && python3 perfbench/run.py --selftest )
+  echo "=== [perfbench] build the workload driver ==="
+  cmake --build "${repo_root}/.bench_build" -j "${jobs}" --target perfbench
+}
+run_perfbench_stage
 
 run_obs_stage() {
   local dir="${build_root}/release"
