@@ -26,9 +26,10 @@
 //            (a request served right after Reload() must not be cached).
 //
 // Emits BENCH_serve_latency.json. Acceptance: every request in both passes
-// resolves to a structured outcome (exit 2 on any unexpected status), and
-// the faulted pass actually hit the ladder (some partial/degraded/deadline
-// outcome was observed).
+// resolves to a structured outcome (exit 2 on any unexpected status), the
+// faulted pass actually hit the ladder (some partial/degraded/deadline
+// outcome was observed), and on every pass the registry's serve.latency_us
+// p50/p95/p99 read at most 17/16 of the client's own quantile.
 
 #include <algorithm>
 #include <atomic>
@@ -71,6 +72,7 @@ struct PassResult {
   int64_t deadline_errors = 0;
   int64_t other_errors = 0;  // anything outside the structured set
   double p50_us = 0.0;
+  double p95_us = 0.0;
   double p99_us = 0.0;
   double mean_us = 0.0;
   // Wall-clock throughput of the whole pass, and the same normalized by
@@ -78,9 +80,9 @@ struct PassResult {
   // scaling keeps per-thread throughput flat as rank_threads grows).
   double req_per_sec = 0.0;
   double per_thread_req_per_sec = 0.0;
-  // The same latencies as the registry's serve.latency_us histogram saw
-  // them, per-pass via HistogramData::Delta — coarser buckets than the
-  // exact client-side sort above, but the series operators actually watch.
+  // The same requests as the registry's serve.latency_us histogram saw
+  // them, per-pass via HistogramData::Delta: the service-side interval,
+  // answered at a log bucket's upper edge (at most 1/16 above exact).
   double hist_p50_us = 0.0;
   double hist_p95_us = 0.0;
   double hist_p99_us = 0.0;
@@ -166,6 +168,7 @@ PassResult RunPass(serve::RecommendService* service, const std::string& name,
       all.empty() ? 0.0
                   : static_cast<double>(sum) / static_cast<double>(all.size());
   out.p50_us = Percentile(&all, 0.50);
+  out.p95_us = Percentile(&all, 0.95);
   out.p99_us = Percentile(&all, 0.99);
   out.req_per_sec =
       pass_s > 0.0 ? static_cast<double>(out.requests) / pass_s : 0.0;
@@ -187,13 +190,15 @@ PassResult RunPass(serve::RecommendService* service, const std::string& name,
 
 void PrintPass(const PassResult& r) {
   std::printf(
-      "%-8s  %ld req x %d clients  p50 %7.0fus  p99 %7.0fus  mean %7.0fus\n"
+      "%-8s  %ld req x %d clients  p50 %7.0fus  p95 %7.0fus  p99 %7.0fus  "
+      "mean %7.0fus\n"
       "          complete %ld, partial %ld, degraded %ld, deadline %ld, "
       "other %ld\n"
       "          registry histogram p50 %7.0fus  p95 %7.0fus  p99 %7.0fus\n"
       "          %.0f req/s at %d rank threads (%.0f req/s/thread)\n",
       r.name.c_str(), static_cast<long>(r.requests), r.client_threads,
-      r.p50_us, r.p99_us, r.mean_us, static_cast<long>(r.ok_complete),
+      r.p50_us, r.p95_us, r.p99_us, r.mean_us,
+      static_cast<long>(r.ok_complete),
       static_cast<long>(r.partial), static_cast<long>(r.degraded),
       static_cast<long>(r.deadline_errors), static_cast<long>(r.other_errors),
       r.hist_p50_us, r.hist_p95_us, r.hist_p99_us, r.req_per_sec,
@@ -204,7 +209,7 @@ void WritePassJson(FILE* out, const PassResult& r, bool last) {
   std::fprintf(out,
                "    {\"pass\": \"%s\", \"requests\": %ld, "
                "\"client_threads\": %d, \"rank_threads\": %d, "
-               "\"p50_us\": %.1f, \"p99_us\": %.1f, "
+               "\"p50_us\": %.1f, \"p95_us\": %.1f, \"p99_us\": %.1f, "
                "\"mean_us\": %.1f, \"hist_p50_us\": %.1f, "
                "\"hist_p95_us\": %.1f, \"hist_p99_us\": %.1f, "
                "\"req_per_sec\": %.1f, "
@@ -213,7 +218,7 @@ void WritePassJson(FILE* out, const PassResult& r, bool last) {
                "\"degraded\": %ld, \"deadline_errors\": %ld, "
                "\"other_errors\": %ld}%s\n",
                r.name.c_str(), static_cast<long>(r.requests),
-               r.client_threads, r.rank_threads, r.p50_us, r.p99_us,
+               r.client_threads, r.rank_threads, r.p50_us, r.p95_us, r.p99_us,
                r.mean_us, r.hist_p50_us, r.hist_p95_us, r.hist_p99_us,
                r.req_per_sec, r.per_thread_req_per_sec,
                static_cast<long>(r.ok_complete), static_cast<long>(r.partial),
@@ -629,6 +634,24 @@ int main(int argc, char** argv) {
       std::printf("acceptance: FAIL (%ld unstructured errors in %s pass)\n",
                   static_cast<long>(r.other_errors), r.name.c_str());
       ok = false;
+    }
+  }
+  // Each registry sample times a sub-interval of its client sample, and
+  // the registry's rank ceil(q*n) is at most the client's floor(q*n)+1, so
+  // a correct histogram reads at most one sub-bucket (1/16) above the
+  // client's quantile.
+  for (const PassResult& r : passes) {
+    const char* names[] = {"p50", "p95", "p99"};
+    const double client[] = {r.p50_us, r.p95_us, r.p99_us};
+    const double registry[] = {r.hist_p50_us, r.hist_p95_us, r.hist_p99_us};
+    for (int q = 0; q < 3; ++q) {
+      if (registry[q] * 16.0 > client[q] * 17.0) {
+        std::printf(
+            "acceptance: FAIL (%s registry %s %.0fus > 17/16 x client "
+            "%.0fus)\n",
+            r.name.c_str(), names[q], registry[q], client[q]);
+        ok = false;
+      }
     }
   }
   const PassResult& faulted = passes[storm_idx];

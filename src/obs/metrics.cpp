@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -9,79 +10,83 @@
 
 namespace layergcn::obs {
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  // Bounds must be strictly ascending; enforce by sorting + deduping so a
-  // bad literal degrades gracefully instead of mis-bucketing.
-  std::sort(bounds_.begin(), bounds_.end());
-  bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  buckets_.reserve(bounds_.size() + 1);
-  for (size_t i = 0; i < bounds_.size() + 1; ++i) {
-    buckets_.push_back(std::make_unique<Counter>());
+int Histogram::BucketIndex(uint64_t value) {
+  if (value > kMaxValue) value = kMaxValue;
+  if (value < kSubBuckets) return static_cast<int>(value);
+  const int e = std::bit_width(value) - 1;  // >= kSubBucketBits
+  const int group = e - kSubBucketBits + 1;
+  const int sub = static_cast<int>((value >> (e - kSubBucketBits)) &
+                                   (kSubBuckets - 1));
+  return group * kSubBuckets + sub;
+}
+
+uint64_t Histogram::BucketUpperEdge(int bucket) {
+  if (bucket < 0) return 0;
+  if (bucket >= kNumBuckets) return kMaxValue;
+  if (bucket < kSubBuckets) return static_cast<uint64_t>(bucket);
+  const int group = bucket / kSubBuckets;
+  const int sub = bucket % kSubBuckets;
+  return ((static_cast<uint64_t>(kSubBuckets + sub) + 1) << (group - 1)) - 1;
+}
+
+std::vector<uint64_t> Histogram::Quantiles(const std::vector<uint64_t>& counts,
+                                           const std::vector<double>& qs) {
+  std::vector<uint64_t> out(qs.size(), 0);
+  uint64_t total = 0;
+  for (uint64_t c : counts) total += c;
+  if (total == 0) return out;
+  size_t qi = 0;
+  uint64_t cum = 0;
+  for (size_t b = 0; b < counts.size() && qi < qs.size(); ++b) {
+    cum += counts[b];
+    while (qi < qs.size()) {
+      // rank ceil(q * total), clamped into [1, total].
+      uint64_t rank = static_cast<uint64_t>(
+          std::ceil(qs[qi] * static_cast<double>(total)));
+      rank = std::min(std::max<uint64_t>(rank, 1), total);
+      if (cum < rank) break;
+      out[qi++] = BucketUpperEdge(static_cast<int>(b));
+    }
   }
-}
-
-void Histogram::Observe(double v) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  buckets_[static_cast<size_t>(it - bounds_.begin())]->Increment();
-  count_.Increment();
-  sum_.Add(v);
-}
-
-std::vector<uint64_t> Histogram::BucketCounts() const {
-  std::vector<uint64_t> out;
-  out.reserve(buckets_.size());
-  for (const auto& b : buckets_) out.push_back(b->Total());
   return out;
 }
 
-double Histogram::Sum() const { return sum_.Total(); }
+void Histogram::AddCountsTo(std::vector<uint64_t>* counts) const {
+  for (int b = 0; b < kNumBuckets; ++b) {
+    (*counts)[static_cast<size_t>(b)] +=
+        buckets_[b].load(std::memory_order_relaxed);
+  }
+}
+
+std::vector<uint64_t> Histogram::BucketCounts() const {
+  std::vector<uint64_t> out(static_cast<size_t>(kNumBuckets), 0);
+  AddCountsTo(&out);
+  return out;
+}
+
+uint64_t Histogram::Count() const {
+  uint64_t n = 0;
+  for (const auto& b : buckets_) n += b.load(std::memory_order_relaxed);
+  return n;
+}
 
 void Histogram::Reset() {
-  for (auto& b : buckets_) b->Reset();
-  count_.Reset();
-  sum_.Reset();
+  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  sum_.store(0, std::memory_order_relaxed);
 }
 
 double HistogramData::Quantile(double q) const {
-  if (count == 0 || bucket_counts.empty()) return 0.0;
-  uint64_t rank = static_cast<uint64_t>(
-      std::ceil(q * static_cast<double>(count)));
-  rank = std::min(std::max<uint64_t>(rank, 1), count);
-  uint64_t cum = 0;
-  for (size_t i = 0; i < bucket_counts.size(); ++i) {
-    const uint64_t in_bucket = bucket_counts[i];
-    if (cum + in_bucket < rank) {
-      cum += in_bucket;
-      continue;
-    }
-    if (i >= bounds.size()) {
-      // Overflow bucket: no upper edge to interpolate toward.
-      return bounds.empty() ? 0.0 : bounds.back();
-    }
-    const double lo = i == 0 ? 0.0 : bounds[i - 1];
-    const double hi = bounds[i];
-    const double within =
-        static_cast<double>(rank - cum) / static_cast<double>(in_bucket);
-    return lo + (hi - lo) * within;
-  }
-  return bounds.empty() ? 0.0 : bounds.back();
+  return static_cast<double>(Histogram::Quantiles(bucket_counts, {q})[0]);
 }
 
 HistogramData HistogramData::Delta(const HistogramData& earlier) const {
-  if (earlier.bounds != bounds ||
-      earlier.bucket_counts.size() != bucket_counts.size()) {
-    return *this;
+  HistogramData out = *this;
+  for (size_t i = 0; i < out.bucket_counts.size(); ++i) {
+    out.bucket_counts[i] -=
+        std::min(out.bucket_counts[i], earlier.bucket_counts[i]);
   }
-  HistogramData out;
-  out.bounds = bounds;
-  out.bucket_counts.resize(bucket_counts.size());
-  for (size_t i = 0; i < bucket_counts.size(); ++i) {
-    out.bucket_counts[i] = bucket_counts[i] >= earlier.bucket_counts[i]
-                               ? bucket_counts[i] - earlier.bucket_counts[i]
-                               : 0;
-  }
-  out.count = count >= earlier.count ? count - earlier.count : 0;
-  out.sum = sum - earlier.sum;
+  out.count -= std::min(count, earlier.count);
+  out.sum -= earlier.sum;
   return out;
 }
 
@@ -115,11 +120,10 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   return slot.get();
 }
 
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         std::vector<double> bounds) {
+Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>(std::move(bounds));
+  if (slot == nullptr) slot = std::make_unique<Histogram>();
   return slot.get();
 }
 
@@ -134,10 +138,9 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   }
   for (const auto& [name, histogram] : histograms_) {
     HistogramData data;
-    data.bounds = histogram->bounds();
     data.bucket_counts = histogram->BucketCounts();
-    data.count = histogram->Count();
-    data.sum = histogram->Sum();
+    for (uint64_t c : data.bucket_counts) data.count += c;
+    data.sum = static_cast<double>(histogram->Sum());
     out.histograms[name] = std::move(data);
   }
   return out;
@@ -160,11 +163,12 @@ std::string MetricsRegistry::SnapshotJson() const {
   w.Key("histograms").BeginObject();
   for (const auto& [name, h] : snap.histograms) {
     w.Key(name).BeginObject();
-    w.Key("bounds").BeginArray();
-    for (double b : h.bounds) w.Number(b);
-    w.EndArray();
-    w.Key("bucket_counts").BeginArray();
-    for (uint64_t c : h.bucket_counts) w.Uint(c);
+    w.Key("buckets").BeginArray();
+    for (size_t b = 0; b < h.bucket_counts.size(); ++b) {
+      if (h.bucket_counts[b] == 0) continue;
+      w.BeginArray().Uint(Histogram::BucketUpperEdge(static_cast<int>(b)));
+      w.Uint(h.bucket_counts[b]).EndArray();
+    }
     w.EndArray();
     w.Key("count").Uint(h.count);
     w.Key("sum").Number(h.sum);
@@ -225,17 +229,16 @@ std::string MetricsRegistry::PrometheusText() const {
   for (const auto& [name, h] : snap.histograms) {
     const std::string prom = PrometheusName(name);
     out += "# TYPE " + prom + " histogram\n";
+    // Cumulative counts at every octave edge of the bucket layout.
     uint64_t cum = 0;
-    for (size_t i = 0; i < h.bucket_counts.size(); ++i) {
-      cum += h.bucket_counts[i];
-      out += prom + "_bucket{le=\"";
-      if (i < h.bounds.size()) {
-        AppendNumber(h.bounds[i], &out);
-      } else {
-        out += "+Inf";
-      }
-      out += "\"} " + std::to_string(cum) + "\n";
+    for (size_t b = 0; b < h.bucket_counts.size(); ++b) {
+      cum += h.bucket_counts[b];
+      if (b % Histogram::kSubBuckets != Histogram::kSubBuckets - 1) continue;
+      out += prom + "_bucket{le=\"" +
+             std::to_string(Histogram::BucketUpperEdge(static_cast<int>(b))) +
+             "\"} " + std::to_string(cum) + "\n";
     }
+    out += prom + "_bucket{le=\"+Inf\"} " + std::to_string(cum) + "\n";
     out += prom + "_sum ";
     AppendNumber(h.sum, &out);
     out += "\n";

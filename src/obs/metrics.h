@@ -1,10 +1,11 @@
-// MetricsRegistry: named counters, gauges, and fixed-bucket histograms.
+// MetricsRegistry: named counters, gauges, and log-bucket histograms.
 //
-// Writers never take the registry lock: each Counter/Histogram spreads its
-// updates over cache-line-padded atomic shards indexed by obs::ThreadId(),
-// so concurrent increments from pool workers do not bounce a shared line.
-// Snapshot() merges the shards under the registry mutex and returns plain
-// totals; exact-sum semantics hold because every update is an atomic add.
+// Writers never take the registry lock: each Counter spreads its updates
+// over cache-line-padded atomic shards indexed by obs::ThreadId(), so
+// concurrent increments from pool workers do not bounce a shared line; a
+// Histogram is one array of relaxed atomic bucket counts. Snapshot()
+// merges under the registry mutex and returns plain totals; exact-sum
+// semantics hold because every update is an atomic add.
 //
 // Get*() returns a stable pointer valid for the process lifetime — call
 // sites cache it in a function-local static (the OBS_COUNT / OBS_GAUGE /
@@ -32,41 +33,11 @@ struct alignas(64) CounterShard {
   std::atomic<uint64_t> value{0};
 };
 
-struct alignas(64) DoubleShard {
-  std::atomic<double> value{0.0};
-};
-
 constexpr int kNumShards = 16;
 
 inline int ShardIndex() {
   return static_cast<int>(ThreadId() % static_cast<uint32_t>(kNumShards));
 }
-
-// Sharded double accumulator (CAS add per shard; exact merge on read for
-// the magnitudes metrics see — each shard sums in isolation).
-class DoubleAdder {
- public:
-  void Add(double d) {
-    std::atomic<double>& a = shards_[ShardIndex()].value;
-    double cur = a.load(std::memory_order_relaxed);
-    while (!a.compare_exchange_weak(cur, cur + d,
-                                    std::memory_order_relaxed)) {
-    }
-  }
-  double Total() const {
-    double total = 0.0;
-    for (const auto& s : shards_) {
-      total += s.value.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-  void Reset() {
-    for (auto& s : shards_) s.value.store(0.0, std::memory_order_relaxed);
-  }
-
- private:
-  DoubleShard shards_[kNumShards];
-};
 
 }  // namespace internal
 
@@ -105,44 +76,72 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram. `bounds` are ascending upper edges; a value v
-/// lands in the first bucket with v <= bounds[i], or the overflow bucket.
+/// Log-bucket histogram of non-negative integers (microseconds, mostly),
+/// the one bucket rule of src/obs.
+///
+/// Bucketing is HDR-style integer math: the leading bit picks an octave,
+/// the next kSubBucketBits bits the sub-bucket. Values below kSubBuckets
+/// own a bucket each; above, kSubBuckets buckets per octave bound the
+/// relative over-report of any answer by 1/kSubBuckets (6.25%). Values
+/// clamp to kMaxValue (~71 minutes in microseconds).
+///
+/// A quantile is answered as the inclusive upper edge of the bucket
+/// holding rank ceil(q * count): never below the exact nearest-rank
+/// quantile, at most 1/kSubBuckets above it. Every update is a relaxed
+/// atomic add, so the same multiset of values gives bit-identical counts
+/// at any thread count and interleaving. The count is the bucket total,
+/// so it always agrees with the buckets.
 class Histogram {
  public:
-  explicit Histogram(std::vector<double> bounds);
+  static constexpr int kSubBucketBits = 4;
+  static constexpr int kSubBuckets = 1 << kSubBucketBits;  // 16
+  static constexpr uint64_t kMaxValue = (uint64_t{1} << 32) - 1;
+  /// kSubBuckets exact buckets, then kSubBuckets per octave up to
+  /// kMaxValue's octave.
+  static constexpr int kNumBuckets = (32 - kSubBucketBits + 1) * kSubBuckets;
 
-  void Observe(double v);
+  /// Bucket of `value` (clamped to kMaxValue).
+  static int BucketIndex(uint64_t value);
+  /// Largest value mapping to `bucket` (inclusive upper edge).
+  static uint64_t BucketUpperEdge(int bucket);
+  /// The quantile walk over per-bucket `counts`: for each q in `qs`
+  /// (ascending, 0 < q <= 1) the upper edge of the bucket holding rank
+  /// ceil(q * total). All zeros when `counts` is empty or all zero.
+  static std::vector<uint64_t> Quantiles(const std::vector<uint64_t>& counts,
+                                         const std::vector<double>& qs);
 
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// Merged per-bucket counts (size bounds().size() + 1; last = overflow).
+  void Observe(uint64_t value) {
+    if (value > kMaxValue) value = kMaxValue;
+    buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(value, std::memory_order_relaxed);
+  }
+
+  /// Adds the per-bucket counts into `counts` (size kNumBuckets).
+  void AddCountsTo(std::vector<uint64_t>* counts) const;
   std::vector<uint64_t> BucketCounts() const;
-  uint64_t Count() const { return count_.Total(); }
-  double Sum() const;
+  uint64_t Count() const;
+  /// Exact sum of the (clamped) observations.
+  uint64_t Sum() const { return sum_.load(std::memory_order_relaxed); }
   void Reset();
 
  private:
-  std::vector<double> bounds_;
-  std::vector<std::unique_ptr<Counter>> buckets_;  // last bucket = overflow
-  Counter count_;
-  internal::DoubleAdder sum_;
+  std::atomic<uint64_t> sum_{0};
+  std::atomic<uint64_t> buckets_[kNumBuckets] = {};
 };
 
-/// Plain-value view of every metric, merged across shards.
+/// Plain-value view of a Histogram.
 struct HistogramData {
-  std::vector<double> bounds;
-  std::vector<uint64_t> bucket_counts;
+  /// Per-bucket counts in Histogram's layout (always kNumBuckets long).
+  std::vector<uint64_t> bucket_counts =
+      std::vector<uint64_t>(Histogram::kNumBuckets, 0);
   uint64_t count = 0;
   double sum = 0.0;
 
-  /// The q-quantile (0 < q <= 1) estimated from the bucket counts by
-  /// linear interpolation inside the bucket holding rank ceil(q * count);
-  /// ranks landing in the overflow bucket answer the last bound. 0 when
-  /// the histogram is empty. Deterministic given the same counts.
+  /// Histogram::Quantiles of the bucket counts for one q; 0 when empty.
   double Quantile(double q) const;
 
   /// this minus `earlier`, bucket by bucket (for per-phase summaries over
-  /// a long-lived histogram). Bounds must match; mismatched shapes return
-  /// a copy of *this.
+  /// a long-lived histogram).
   HistogramData Delta(const HistogramData& earlier) const;
 };
 
@@ -165,20 +164,20 @@ class MetricsRegistry {
   /// Get-or-create. Pointers stay valid for the process lifetime.
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
-  /// `bounds` is used on first creation only; later calls return the
-  /// existing histogram regardless.
-  Histogram* GetHistogram(const std::string& name, std::vector<double> bounds);
+  Histogram* GetHistogram(const std::string& name);
 
   MetricsSnapshot Snapshot() const;
   /// Snapshot rendered as one JSON object (stable key order). Histograms
-  /// carry p50/p95/p99 summaries next to their bucket counts.
+  /// list their non-empty buckets as [upper_edge, count] pairs next to
+  /// p50/p95/p99.
   std::string SnapshotJson() const;
   /// Writes SnapshotJson() to `path`; false on I/O failure.
   bool WriteSnapshotJson(const std::string& path) const;
 
   /// Snapshot rendered as Prometheus text exposition format (one
   /// `layergcn_`-prefixed family per metric; '.' in names becomes '_';
-  /// histograms export cumulative `_bucket{le=...}` series + _sum/_count).
+  /// histograms export cumulative `_bucket{le=...}` series at every
+  /// octave edge of the bucket layout, then +Inf, + _sum/_count).
   std::string PrometheusText() const;
   /// Writes PrometheusText() to `path`; false on I/O failure.
   bool WritePrometheusText(const std::string& path) const;
@@ -219,15 +218,14 @@ class MetricsRegistry {
     }                                                                 \
   } while (0)
 
-/// Observes `v` in histogram `name`; parenthesize the bounds argument:
-/// OBS_OBSERVE("pool.task_us", (std::vector<double>{10, 100, 1000}), us).
-#define OBS_OBSERVE(name, bounds, v)                                       \
+/// Observes `v` (a non-negative integer, e.g. microseconds) in histogram
+/// `name`.
+#define OBS_OBSERVE(name, v)                                               \
   do {                                                                     \
     if (::layergcn::obs::Flags() & ::layergcn::obs::kMetricsBit) {         \
       static ::layergcn::obs::Histogram* obs_histogram_ =                  \
-          ::layergcn::obs::MetricsRegistry::Global().GetHistogram(name,    \
-                                                                  bounds); \
-      obs_histogram_->Observe(static_cast<double>(v));                     \
+          ::layergcn::obs::MetricsRegistry::Global().GetHistogram(name);   \
+      obs_histogram_->Observe(static_cast<uint64_t>(v));                   \
     }                                                                      \
   } while (0)
 
@@ -235,7 +233,7 @@ class MetricsRegistry {
 
 #define OBS_COUNT(name, n) ((void)0)
 #define OBS_GAUGE(name, v) ((void)0)
-#define OBS_OBSERVE(name, bounds, v) ((void)0)
+#define OBS_OBSERVE(name, v) ((void)0)
 
 #endif  // LAYERGCN_OBS_ENABLED
 

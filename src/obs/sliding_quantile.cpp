@@ -1,9 +1,5 @@
 #include "obs/sliding_quantile.h"
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
-
 namespace layergcn::obs {
 namespace {
 
@@ -19,126 +15,33 @@ SlidingQuantile::Options Sanitize(SlidingQuantile::Options o) {
 SlidingQuantile::SlidingQuantile() : SlidingQuantile(Options()) {}
 
 SlidingQuantile::SlidingQuantile(const Options& options)
-    : options_(Sanitize(options)) {
-  windows_.reserve(static_cast<size_t>(options_.num_windows));
-  for (int i = 0; i < options_.num_windows; ++i) {
-    windows_.push_back(std::make_unique<Window>());
-  }
-}
-
-int SlidingQuantile::BucketIndex(uint64_t value) {
-  if (value > kMaxValue) value = kMaxValue;
-  if (value < kSubBuckets) return static_cast<int>(value);
-  const int e = std::bit_width(value) - 1;  // >= kSubBucketBits
-  const int group = e - kSubBucketBits + 1;
-  const int sub = static_cast<int>((value >> (e - kSubBucketBits)) &
-                                   (kSubBuckets - 1));
-  return group * kSubBuckets + sub;
-}
-
-uint64_t SlidingQuantile::BucketUpperEdge(int bucket) {
-  if (bucket < 0) return 0;
-  if (bucket >= kNumBuckets) return kMaxValue;
-  if (bucket < kSubBuckets) return static_cast<uint64_t>(bucket);
-  const int group = bucket / kSubBuckets;
-  const int sub = bucket % kSubBuckets;
-  return ((static_cast<uint64_t>(kSubBuckets + sub) + 1)
-          << (group - 1)) - 1;
-}
-
-bool SlidingQuantile::PrepareWindow(Window* slot, uint64_t epoch) {
-  const uint64_t stamped = slot->epoch.load(std::memory_order_acquire);
-  if (stamped == epoch) return true;
-  if (stamped != UINT64_MAX && stamped > epoch) return false;  // too old
-  std::lock_guard<std::mutex> lock(rotate_mu_);
-  const uint64_t again = slot->epoch.load(std::memory_order_acquire);
-  if (again == epoch) return true;
-  if (again != UINT64_MAX && again > epoch) return false;
-  for (auto& b : slot->buckets) b.store(0, std::memory_order_relaxed);
-  slot->count.store(0, std::memory_order_relaxed);
-  slot->sum.store(0, std::memory_order_relaxed);
-  // Release-publish the epoch after the counts are zeroed: a writer that
-  // observes the new stamp never adds into pre-reset state.
-  slot->epoch.store(epoch, std::memory_order_release);
-  return true;
-}
-
-void SlidingQuantile::Observe(uint64_t value, uint64_t now_us) {
-  if (value > kMaxValue) value = kMaxValue;
-  const uint64_t epoch = now_us / options_.window_us;
-  Window* slot =
-      windows_[static_cast<size_t>(
-                   epoch % static_cast<uint64_t>(options_.num_windows))]
-          .get();
-  if (!PrepareWindow(slot, epoch)) return;
-  slot->buckets[static_cast<size_t>(BucketIndex(value))].fetch_add(
-      1, std::memory_order_relaxed);
-  slot->count.fetch_add(1, std::memory_order_relaxed);
-  slot->sum.fetch_add(value, std::memory_order_relaxed);
-}
-
-template <typename Fn>
-void SlidingQuantile::ForEachLiveWindow(uint64_t now_us, Fn&& fn) const {
-  const uint64_t cur = now_us / options_.window_us;
-  const uint64_t oldest =
-      cur >= static_cast<uint64_t>(options_.num_windows - 1)
-          ? cur - static_cast<uint64_t>(options_.num_windows - 1)
-          : 0;
-  for (const auto& w : windows_) {
-    const uint64_t epoch = w->epoch.load(std::memory_order_acquire);
-    if (epoch == UINT64_MAX || epoch < oldest || epoch > cur) continue;
-    fn(*w);
-  }
-}
+    : options_(Sanitize(options)),
+      windows_(options_.window_us, options_.num_windows) {}
 
 std::vector<uint64_t> SlidingQuantile::MergedCounts(uint64_t now_us) const {
-  std::vector<uint64_t> out(static_cast<size_t>(kNumBuckets), 0);
-  ForEachLiveWindow(now_us, [&out](const Window& w) {
-    for (int b = 0; b < kNumBuckets; ++b) {
-      out[static_cast<size_t>(b)] +=
-          w.buckets[static_cast<size_t>(b)].load(std::memory_order_relaxed);
-    }
-  });
+  std::vector<uint64_t> out(static_cast<size_t>(Histogram::kNumBuckets), 0);
+  windows_.ForEach(now_us, options_.num_windows - 1,
+                   [&out](const Histogram& w) { w.AddCountsTo(&out); });
   return out;
 }
 
 uint64_t SlidingQuantile::Count(uint64_t now_us) const {
   uint64_t n = 0;
-  ForEachLiveWindow(now_us, [&n](const Window& w) {
-    n += w.count.load(std::memory_order_relaxed);
-  });
+  windows_.ForEach(now_us, options_.num_windows - 1,
+                   [&n](const Histogram& w) { n += w.Count(); });
   return n;
 }
 
 uint64_t SlidingQuantile::Sum(uint64_t now_us) const {
   uint64_t s = 0;
-  ForEachLiveWindow(now_us, [&s](const Window& w) {
-    s += w.sum.load(std::memory_order_relaxed);
-  });
+  windows_.ForEach(now_us, options_.num_windows - 1,
+                   [&s](const Histogram& w) { s += w.Sum(); });
   return s;
 }
 
 std::vector<uint64_t> SlidingQuantile::Quantiles(
     const std::vector<double>& qs, uint64_t now_us) const {
-  std::vector<uint64_t> out(qs.size(), 0);
-  const std::vector<uint64_t> counts = MergedCounts(now_us);
-  uint64_t total = 0;
-  for (uint64_t c : counts) total += c;
-  if (total == 0) return out;
-  size_t qi = 0;
-  uint64_t cum = 0;
-  for (int b = 0; b < kNumBuckets && qi < qs.size(); ++b) {
-    cum += counts[static_cast<size_t>(b)];
-    while (qi < qs.size()) {
-      // rank ceil(q * total), clamped into [1, total].
-      uint64_t rank = static_cast<uint64_t>(
-          std::ceil(qs[qi] * static_cast<double>(total)));
-      rank = std::min(std::max<uint64_t>(rank, 1), total);
-      if (cum < rank) break;
-      out[qi++] = BucketUpperEdge(b);
-    }
-  }
-  return out;
+  return Histogram::Quantiles(MergedCounts(now_us), qs);
 }
 
 uint64_t SlidingQuantile::Quantile(double q, uint64_t now_us) const {

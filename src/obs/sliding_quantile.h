@@ -1,40 +1,35 @@
-// Sliding-window quantile estimation over fixed log-spaced buckets.
+// Sliding-window quantile estimation over the registry's log buckets.
 //
 // The serving tier needs "p99 latency over the last minute" as a live
 // gauge, not an all-of-process histogram: a latency spike an hour ago must
-// age out. SlidingQuantile keeps a ring of time windows, each a fixed
-// array of log-bucket counters; Observe() lands a value in the window its
-// timestamp belongs to, and Quantile() merges the windows still inside the
-// horizon and walks the merged counts.
+// age out. SlidingQuantile is an EpochRing of obs::Histogram windows;
+// Observe() lands a value in the window its timestamp belongs to, and
+// Quantile() merges the windows still inside the horizon and runs
+// Histogram's quantile walk over the merged counts.
 //
-// Determinism: bucketing is pure integer math (HDR-style: the leading bit
-// picks an octave group, the next kSubBucketBits bits the sub-bucket), all
-// counters are exact uint64 sums, and a quantile is answered with the
-// bucket's inclusive upper edge. The same multiset of (value, timestamp)
-// observations therefore yields bit-identical merged counts and quantiles
-// at any thread count and any interleaving — the property slo_test pins.
+// Determinism and resolution are Histogram's: pure integer bucketing,
+// exact uint64 counts, answers at the bucket's inclusive upper edge (at
+// most 1/kSubBuckets above the exact quantile). The same multiset of
+// (value, timestamp) observations therefore yields bit-identical merged
+// counts and quantiles at any thread count and any interleaving — the
+// property slo_test pins.
 //
-// Resolution: kSubBuckets sub-buckets per octave bound the relative error
-// of any reported quantile by 1/kSubBuckets (6.25%). Values are clamped to
-// kMaxValue (~71 minutes in microseconds); larger observations saturate
-// into the top bucket.
-//
-// Concurrency: writers are lock-free in the steady state (one relaxed
-// epoch load + two atomic adds). A writer that first touches a window slot
-// whose epoch moved forward takes a small rotation mutex to zero and
-// re-stamp the slot; readers merge under no lock (exact-sum semantics per
-// bucket, monitoring-grade consistency across buckets).
+// Concurrency: writers are lock-free in the steady state (one acquire
+// epoch load + relaxed atomic adds); the first writer of a new window
+// zeroes it under EpochRing's rotation mutex; readers merge under no lock
+// (exact-sum semantics per bucket, monitoring-grade consistency across
+// buckets).
 //
 // Part of src/obs: standard library only, usable below util/.
 
 #ifndef LAYERGCN_OBS_SLIDING_QUANTILE_H_
 #define LAYERGCN_OBS_SLIDING_QUANTILE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
+
+#include "obs/epoch_ring.h"
+#include "obs/metrics.h"
 
 namespace layergcn::obs {
 
@@ -47,21 +42,15 @@ class SlidingQuantile {
     int num_windows = 12;
   };
 
-  static constexpr int kSubBucketBits = 4;
-  static constexpr int kSubBuckets = 1 << kSubBucketBits;  // 16
-  /// Observations above this saturate into the final bucket.
-  static constexpr uint64_t kMaxValue = (uint64_t{1} << 32) - 1;
-  /// Buckets 0..kSubBuckets-1 are exact; each further octave contributes
-  /// kSubBuckets buckets up to kMaxValue's octave.
-  static constexpr int kNumBuckets = (32 - kSubBucketBits + 1) * kSubBuckets;
-
   SlidingQuantile();  // default Options
   explicit SlidingQuantile(const Options& options);
 
-  /// Records `value` (clamped to kMaxValue) in the window containing
-  /// `now_us`. Timestamps may arrive slightly out of order; anything older
-  /// than the horizon is dropped.
-  void Observe(uint64_t value, uint64_t now_us);
+  /// Records `value` (clamped to Histogram::kMaxValue) in the window
+  /// containing `now_us`. Timestamps may arrive slightly out of order;
+  /// anything older than the horizon is dropped.
+  void Observe(uint64_t value, uint64_t now_us) {
+    if (Histogram* window = windows_.Acquire(now_us)) window->Observe(value);
+  }
 
   /// The q-quantile (0 < q <= 1) of the observations inside
   /// [now_us - horizon, now_us], answered as the inclusive upper edge of
@@ -78,8 +67,9 @@ class SlidingQuantile {
   /// Exact sum of (clamped) observations inside the horizon.
   uint64_t Sum(uint64_t now_us) const;
 
-  /// Merged per-bucket counts inside the horizon (size kNumBuckets).
-  /// Exposed so tests can pin the deterministic-merge property directly.
+  /// Merged per-bucket counts inside the horizon (size
+  /// Histogram::kNumBuckets). Exposed so tests can pin the
+  /// deterministic-merge property directly.
   std::vector<uint64_t> MergedCounts(uint64_t now_us) const;
 
   const Options& options() const { return options_; }
@@ -87,31 +77,9 @@ class SlidingQuantile {
     return options_.window_us * static_cast<uint64_t>(options_.num_windows);
   }
 
-  /// Deterministic log-bucket index for `value` (clamped). Values below
-  /// kSubBuckets map exactly to their own bucket.
-  static int BucketIndex(uint64_t value);
-  /// Largest value mapping to `bucket` (inclusive upper edge).
-  static uint64_t BucketUpperEdge(int bucket);
-
  private:
-  struct alignas(64) Window {
-    std::atomic<uint64_t> epoch{UINT64_MAX};  // window_us units; MAX = empty
-    std::atomic<uint64_t> count{0};
-    std::atomic<uint64_t> sum{0};
-    std::atomic<uint64_t> buckets[kNumBuckets] = {};
-  };
-
-  /// Ensures `slot` is stamped for `epoch`, zeroing stale counts under the
-  /// rotation mutex. Returns false when the slot already belongs to a
-  /// newer epoch (the observation is too old to record).
-  bool PrepareWindow(Window* slot, uint64_t epoch);
-
-  template <typename Fn>
-  void ForEachLiveWindow(uint64_t now_us, Fn&& fn) const;
-
   const Options options_;
-  std::mutex rotate_mu_;
-  std::vector<std::unique_ptr<Window>> windows_;
+  EpochRing<Histogram> windows_;
 };
 
 }  // namespace layergcn::obs

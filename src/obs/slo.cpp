@@ -73,39 +73,23 @@ SloMonitor::SloMonitor() : SloMonitor(Options()) {}
 
 SloMonitor::SloMonitor(const Options& options)
     : options_(Sanitize(options)),
-      num_slots_(static_cast<int>(
-          (options_.long_window_us + options_.short_window_us - 1) /
-          options_.short_window_us) +
-                 1) {
-  slots_.reserve(static_cast<size_t>(num_slots_));
-  for (int i = 0; i < num_slots_; ++i) {
-    slots_.push_back(std::make_unique<Slot>());
-  }
-}
+      slots_(options_.short_window_us,
+             static_cast<int>((options_.long_window_us +
+                               options_.short_window_us - 1) /
+                              options_.short_window_us) +
+                 1) {}
 
-bool SloMonitor::PrepareSlot(Slot* slot, uint64_t epoch) {
-  const uint64_t stamped = slot->epoch.load(std::memory_order_acquire);
-  if (stamped == epoch) return true;
-  if (stamped != UINT64_MAX && stamped > epoch) return false;
-  std::lock_guard<std::mutex> lock(rotate_mu_);
-  const uint64_t again = slot->epoch.load(std::memory_order_acquire);
-  if (again == epoch) return true;
-  if (again != UINT64_MAX && again > epoch) return false;
-  slot->total.store(0, std::memory_order_relaxed);
-  slot->errors.store(0, std::memory_order_relaxed);
-  slot->answered.store(0, std::memory_order_relaxed);
-  slot->slow.store(0, std::memory_order_relaxed);
-  slot->epoch.store(epoch, std::memory_order_release);
-  return true;
+void SloMonitor::Slot::Reset() {
+  total.store(0, std::memory_order_relaxed);
+  errors.store(0, std::memory_order_relaxed);
+  answered.store(0, std::memory_order_relaxed);
+  slow.store(0, std::memory_order_relaxed);
 }
 
 void SloMonitor::Record(uint64_t now_us, bool server_error, bool answered,
                         uint64_t latency_us) {
-  const uint64_t epoch = now_us / options_.short_window_us;
-  Slot* slot =
-      slots_[static_cast<size_t>(epoch % static_cast<uint64_t>(num_slots_))]
-          .get();
-  if (!PrepareSlot(slot, epoch)) return;
+  Slot* slot = slots_.Acquire(now_us);
+  if (slot == nullptr) return;
   slot->total.fetch_add(1, std::memory_order_relaxed);
   if (server_error) slot->errors.fetch_add(1, std::memory_order_relaxed);
   if (answered) {
@@ -119,18 +103,12 @@ void SloMonitor::Record(uint64_t now_us, bool server_error, bool answered,
 SloMonitor::WindowTotals SloMonitor::Merge(uint64_t now_us,
                                            int slots_back) const {
   WindowTotals out;
-  const uint64_t cur = now_us / options_.short_window_us;
-  const uint64_t oldest = cur >= static_cast<uint64_t>(slots_back)
-                              ? cur - static_cast<uint64_t>(slots_back)
-                              : 0;
-  for (const auto& s : slots_) {
-    const uint64_t epoch = s->epoch.load(std::memory_order_acquire);
-    if (epoch == UINT64_MAX || epoch < oldest || epoch > cur) continue;
-    out.total += s->total.load(std::memory_order_relaxed);
-    out.errors += s->errors.load(std::memory_order_relaxed);
-    out.answered += s->answered.load(std::memory_order_relaxed);
-    out.slow += s->slow.load(std::memory_order_relaxed);
-  }
+  slots_.ForEach(now_us, slots_back, [&out](const Slot& s) {
+    out.total += s.total.load(std::memory_order_relaxed);
+    out.errors += s.errors.load(std::memory_order_relaxed);
+    out.answered += s.answered.load(std::memory_order_relaxed);
+    out.slow += s.slow.load(std::memory_order_relaxed);
+  });
   return out;
 }
 
@@ -138,7 +116,7 @@ SloMonitor::Burn SloMonitor::BurnRates(uint64_t now_us) const {
   // Short = current + previous slot (spans at least short_window_us of
   // wall clock whatever the phase); long = the whole ring.
   const WindowTotals s = Merge(now_us, 1);
-  const WindowTotals l = Merge(now_us, num_slots_ - 1);
+  const WindowTotals l = Merge(now_us, slots_.size() - 1);
   Burn burn;
   burn.availability_short =
       BurnOf(s.errors, s.total, options_.availability_objective);

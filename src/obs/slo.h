@@ -20,11 +20,12 @@
 //            standard multi-window page condition: fast burn that is not
 //            just a blip
 //
-// Windows are slot-granular rings (slot width = short_window_us): "short"
-// merges the current and previous slots, "long" merges every slot in the
-// ring. Callers pass now_us explicitly (obs::NowMicros() in production),
-// so tests drive the state machine with a synthetic clock — the same
-// pattern as serve::CircuitBreaker.
+// Windows are slot-granular: an EpochRing of request-count slots (slot
+// width = short_window_us); "short" merges the current and previous
+// slots, "long" merges every slot in the ring. Callers pass now_us
+// explicitly (obs::NowMicros() in production), so tests drive the state
+// machine with a synthetic clock — the same pattern as
+// serve::CircuitBreaker.
 //
 // Update() latches the state, counts transitions (slo.transitions) and
 // exports slo.state / slo.burn_* gauges. Part of src/obs: standard library
@@ -35,9 +36,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <vector>
+
+#include "obs/epoch_ring.h"
 
 namespace layergcn::obs {
 
@@ -104,24 +105,21 @@ class SloMonitor {
   const Options& options() const { return options_; }
 
  private:
-  struct alignas(64) Slot {
-    std::atomic<uint64_t> epoch{UINT64_MAX};
+  struct Slot {
     std::atomic<uint64_t> total{0};
     std::atomic<uint64_t> errors{0};
     std::atomic<uint64_t> answered{0};
     std::atomic<uint64_t> slow{0};
+    void Reset();
   };
 
   struct WindowTotals {
     uint64_t total = 0, errors = 0, answered = 0, slow = 0;
   };
   WindowTotals Merge(uint64_t now_us, int slots_back) const;
-  bool PrepareSlot(Slot* slot, uint64_t epoch);
 
   const Options options_;
-  const int num_slots_;
-  std::vector<std::unique_ptr<Slot>> slots_;
-  std::mutex rotate_mu_;
+  EpochRing<Slot> slots_;
 
   mutable std::mutex state_mu_;
   State state_ = State::kOk;

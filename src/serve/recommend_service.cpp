@@ -13,16 +13,6 @@
 #include "util/parallel.h"
 
 namespace layergcn::serve {
-namespace {
-
-// serve.latency_us histogram bucket upper edges (microseconds).
-const std::vector<double>& LatencyBounds() {
-  static const std::vector<double>* bounds = new std::vector<double>{
-      100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000};
-  return *bounds;
-}
-
-}  // namespace
 
 RecommendService::RecommendService(SnapshotStore* store)
     : RecommendService(store, RecommendServiceOptions()) {}
@@ -355,8 +345,7 @@ util::StatusOr<RecommendResponse> RecommendService::Recommend(
         breaker_.RecordFailure(obs::NowMicros());
         if (ranked[0].empty()) {
           OBS_COUNT("serve.deadline_errors", 1);
-          OBS_OBSERVE("serve.latency_us", LatencyBounds(),
-                      obs::NowMicros() - start_us);
+          OBS_OBSERVE("serve.latency_us", obs::NowMicros() - start_us);
           return fail(util::DeadlineExceededError(
               "budget " + std::to_string(req.budget_us) +
               "us spent before any item tile was scored"));
@@ -413,7 +402,7 @@ util::StatusOr<RecommendResponse> RecommendService::Recommend(
   ctx->retrieval = resp.retrieval;
   ctx->candidates = resp.candidates;
   resp.latency_us = obs::NowMicros() - start_us;
-  OBS_OBSERVE("serve.latency_us", LatencyBounds(), resp.latency_us);
+  OBS_OBSERVE("serve.latency_us", resp.latency_us);
   ctx->finish_us = obs::NowMicros();
   return resp;
 }

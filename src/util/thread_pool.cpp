@@ -76,9 +76,7 @@ void ThreadPool::WorkerLoop() {
     [[maybe_unused]] const uint64_t task_us = OBS_NOW_US() - task_start;
     OBS_COUNT("pool.tasks_executed", 1);
     OBS_COUNT("pool.task_us", task_us);
-    OBS_OBSERVE("pool.task_dur_us",
-                (std::vector<double>{10, 100, 1000, 10000, 100000, 1000000}),
-                task_us);
+    OBS_OBSERVE("pool.task_dur_us", task_us);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (--in_flight_ == 0) done_cv_.notify_all();

@@ -61,30 +61,32 @@ TEST_F(ObsTest, GaugeLastWriteWins) {
 }
 
 TEST_F(ObsTest, HistogramBucketBoundaries) {
-  Histogram h({10.0, 100.0, 1000.0});
-  // v lands in the first bucket with v <= bound; above the last bound it
-  // goes to the overflow bucket.
-  h.Observe(0.0);     // <= 10
-  h.Observe(10.0);    // <= 10 (inclusive upper edge)
-  h.Observe(10.5);    // <= 100
-  h.Observe(100.0);   // <= 100
-  h.Observe(999.9);   // <= 1000
-  h.Observe(1000.1);  // overflow
-  h.Observe(1e12);    // overflow
+  Histogram h;
+  // Below kSubBuckets each value owns a bucket; from 32 on a bucket spans
+  // two values, and every bucket's upper edge is inclusive.
+  h.Observe(0);
+  h.Observe(15);
+  h.Observe(32);  // bucket 32 = [32, 33]
+  h.Observe(33);  // inclusive upper edge
+  h.Observe(34);  // first value of the next bucket
+  h.Observe(Histogram::kMaxValue);
+  h.Observe(uint64_t{1} << 40);  // saturates into the final bucket
   const std::vector<uint64_t> counts = h.BucketCounts();
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0], 2u);
-  EXPECT_EQ(counts[1], 2u);
-  EXPECT_EQ(counts[2], 1u);
-  EXPECT_EQ(counts[3], 2u);
+  ASSERT_EQ(counts.size(), static_cast<size_t>(Histogram::kNumBuckets));
+  EXPECT_EQ(counts[0], 1u);
+  EXPECT_EQ(counts[15], 1u);
+  EXPECT_EQ(Histogram::BucketUpperEdge(32), 33u);
+  EXPECT_EQ(counts[32], 2u);
+  EXPECT_EQ(counts[33], 1u);
+  EXPECT_EQ(counts[Histogram::kNumBuckets - 1], 2u);
+  uint64_t total = 0;
+  for (uint64_t c : counts) total += c;
+  EXPECT_EQ(total, 7u);
   EXPECT_EQ(h.Count(), 7u);
-  EXPECT_NEAR(h.Sum(), 0.0 + 10.0 + 10.5 + 100.0 + 999.9 + 1000.1 + 1e12,
-              1e-3);
-}
-
-TEST_F(ObsTest, HistogramSortsAndDeduplicatesBounds) {
-  Histogram h({100.0, 10.0, 100.0});
-  EXPECT_EQ(h.bounds(), (std::vector<double>{10.0, 100.0}));
+  EXPECT_EQ(h.Sum(), 0 + 15 + 32 + 33 + 34 + 2 * Histogram::kMaxValue);
+  h.Reset();
+  EXPECT_EQ(h.Count(), 0u);
+  EXPECT_EQ(h.Sum(), 0u);
 }
 
 #if LAYERGCN_OBS_ENABLED
@@ -160,9 +162,12 @@ TEST_F(ObsTest, SnapshotJsonParses) {
   // compiled out too.
   MetricsRegistry::Global().GetCounter("test.snapshot_counter")->Add(2);
   MetricsRegistry::Global().GetGauge("test.snapshot_gauge")->Set(0.5);
-  MetricsRegistry::Global()
-      .GetHistogram("test.snapshot_hist", {1.0, 2.0})
-      ->Observe(1.5);
+  Histogram* hist =
+      MetricsRegistry::Global().GetHistogram("test.snapshot_hist");
+  hist->Reset();
+  hist->Observe(2);
+  hist->Observe(2);
+  hist->Observe(1000);
   const std::string doc = MetricsRegistry::Global().SnapshotJson();
   JsonValue root;
   std::string error;
@@ -174,7 +179,22 @@ TEST_F(ObsTest, SnapshotJsonParses) {
   EXPECT_GE(c->number, 2.0);
   const JsonValue* hists = root.Find("histograms");
   ASSERT_NE(hists, nullptr);
-  EXPECT_NE(hists->Find("test.snapshot_hist"), nullptr);
+  const JsonValue* h = hists->Find("test.snapshot_hist");
+  ASSERT_NE(h, nullptr);
+  // Only the non-empty buckets, as [upper_edge, count] pairs.
+  const JsonValue* buckets = h->Find("buckets");
+  ASSERT_NE(buckets, nullptr);
+  ASSERT_EQ(buckets->array.size(), 2u);
+  ASSERT_EQ(buckets->array[0].array.size(), 2u);
+  EXPECT_EQ(buckets->array[0].array[0].number, 2.0);
+  EXPECT_EQ(buckets->array[0].array[1].number, 2.0);
+  const double edge = static_cast<double>(
+      Histogram::BucketUpperEdge(Histogram::BucketIndex(1000)));
+  EXPECT_EQ(buckets->array[1].array[0].number, edge);
+  EXPECT_EQ(buckets->array[1].array[1].number, 1.0);
+  EXPECT_EQ(h->Find("count")->number, 3.0);
+  EXPECT_EQ(h->Find("p50")->number, 2.0);
+  EXPECT_EQ(h->Find("p99")->number, edge);
 }
 
 TEST_F(ObsTest, EpochTelemetryJsonRoundTrips) {

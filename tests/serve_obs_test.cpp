@@ -474,10 +474,11 @@ TEST_F(ServeObsTest, PrometheusTextExposition) {
   auto& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("promtest.requests")->Add(3);
   registry.GetGauge("promtest.depth")->Set(2.5);
-  auto* hist =
-      registry.GetHistogram("promtest.lat_us", std::vector<double>{1, 2, 4});
-  hist->Observe(1.5);
-  hist->Observe(100.0);  // overflow bucket
+  auto* hist = registry.GetHistogram("promtest.lat_us");
+  hist->Reset();
+  hist->Observe(3);
+  hist->Observe(100);  // bucket edge 103, inside the 127 octave
+  hist->Observe(uint64_t{1} << 40);  // saturates into the last bucket
 
   const std::string text = registry.PrometheusText();
   EXPECT_NE(text.find("# TYPE layergcn_promtest_requests counter"),
@@ -487,43 +488,90 @@ TEST_F(ServeObsTest, PrometheusTextExposition) {
             std::string::npos);
   EXPECT_NE(text.find("# TYPE layergcn_promtest_lat_us histogram"),
             std::string::npos);
-  // Buckets are cumulative and end with +Inf at the total count.
-  EXPECT_NE(text.find("layergcn_promtest_lat_us_bucket{le=\"2\"} 1"),
+
+  // The `le` set is every octave edge of the bucket layout (2^k - 1 for
+  // k = 4..32), then +Inf; counts are cumulative and +Inf equals _count.
+  const std::string prefix = "layergcn_promtest_lat_us_bucket{le=\"";
+  std::vector<std::string> les;
+  std::vector<uint64_t> cums;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(prefix, 0) != 0) continue;
+    const size_t close = line.find("\"} ");
+    ASSERT_NE(close, std::string::npos) << line;
+    les.push_back(line.substr(prefix.size(), close - prefix.size()));
+    cums.push_back(std::stoull(line.substr(close + 3)));
+  }
+  ASSERT_EQ(les.size(), 30u);
+  for (size_t i = 0; i + 1 < les.size(); ++i) {
+    EXPECT_EQ(les[i], std::to_string((uint64_t{1} << (i + 4)) - 1));
+    EXPECT_LE(cums[i], cums[i + 1]);
+  }
+  EXPECT_EQ(les.back(), "+Inf");
+  EXPECT_EQ(cums[0], 1u);   // le="15": the 3
+  EXPECT_EQ(cums[1], 1u);   // le="31"
+  EXPECT_EQ(cums[2], 1u);   // le="63"
+  EXPECT_EQ(cums[3], 2u);   // le="127": + the 100
+  EXPECT_EQ(cums[27], 2u);  // le="2147483647"
+  EXPECT_EQ(cums[28], 3u);  // le="4294967295": + the saturated value
+  EXPECT_EQ(cums[29], 3u);
+  EXPECT_NE(text.find("layergcn_promtest_lat_us_count 3\n"),
             std::string::npos);
-  EXPECT_NE(text.find("layergcn_promtest_lat_us_bucket{le=\"+Inf\"} 2"),
+  EXPECT_NE(text.find("layergcn_promtest_lat_us_sum " +
+                      std::to_string(3 + 100 + obs::Histogram::kMaxValue) +
+                      "\n"),
             std::string::npos);
-  EXPECT_NE(text.find("layergcn_promtest_lat_us_count 2"), std::string::npos);
 }
 
 TEST_F(ServeObsTest, HistogramDataQuantileAndDelta) {
+  using obs::Histogram;
+  const auto at = [](uint64_t v) {
+    return static_cast<size_t>(Histogram::BucketIndex(v));
+  };
   obs::HistogramData h;
-  h.bounds = {10, 20, 40};
-  h.bucket_counts = {10, 10, 0, 0};  // 20 values, none in overflow
+  ASSERT_EQ(h.bucket_counts.size(),
+            static_cast<size_t>(Histogram::kNumBuckets));
+  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 0.0);  // empty
+  h.bucket_counts[at(10)] = 10;
+  h.bucket_counts[at(20)] = 10;
   h.count = 20;
   h.sum = 300.0;
-  // Rank 10 is the last value of the first bucket: interpolates to its
-  // upper edge; rank 20 tops out the second bucket.
+  // Rank 10 is the last value of the first occupied bucket; rank 20 tops
+  // out the second. Values below 32 have one-value buckets, so both answer
+  // exactly.
   EXPECT_DOUBLE_EQ(h.Quantile(0.5), 10.0);
+  EXPECT_DOUBLE_EQ(h.Quantile(0.51), 20.0);
   EXPECT_DOUBLE_EQ(h.Quantile(1.0), 20.0);
 
   obs::HistogramData later = h;
-  later.bucket_counts = {15, 12, 2, 1};
+  later.bucket_counts[at(10)] = 15;
+  later.bucket_counts[at(20)] = 12;
+  later.bucket_counts[at(40)] = 2;
+  later.bucket_counts[at(Histogram::kMaxValue)] = 1;
   later.count = 30;
   later.sum = 520.0;
   const obs::HistogramData delta = later.Delta(h);
   EXPECT_EQ(delta.count, 10u);
   EXPECT_DOUBLE_EQ(delta.sum, 220.0);
-  EXPECT_EQ(delta.bucket_counts,
-            (std::vector<uint64_t>{5, 2, 2, 1}));
-  // Ranks landing in the overflow bucket answer the last bound.
-  obs::HistogramData overflow;
-  overflow.bounds = {10};
-  overflow.bucket_counts = {0, 5};
-  overflow.count = 5;
-  EXPECT_DOUBLE_EQ(overflow.Quantile(0.99), 10.0);
-  // Mismatched shapes return the newer data unchanged.
-  const obs::HistogramData mismatched = later.Delta(overflow);
-  EXPECT_EQ(mismatched.count, later.count);
+  std::vector<uint64_t> want(static_cast<size_t>(Histogram::kNumBuckets), 0);
+  want[at(10)] = 5;
+  want[at(20)] = 2;
+  want[at(40)] = 2;
+  want[at(Histogram::kMaxValue)] = 1;
+  EXPECT_EQ(delta.bucket_counts, want);
+  // Rank 10 of the delta lands in the saturated last bucket.
+  EXPECT_DOUBLE_EQ(delta.Quantile(1.0),
+                   static_cast<double>(Histogram::kMaxValue));
+  EXPECT_DOUBLE_EQ(delta.Quantile(0.9),
+                   static_cast<double>(
+                       Histogram::BucketUpperEdge(Histogram::BucketIndex(40))));
+  // An earlier snapshot that is ahead (reset in between) clamps to zero
+  // rather than wrapping.
+  const obs::HistogramData backwards = h.Delta(later);
+  EXPECT_EQ(backwards.count, 0u);
+  EXPECT_EQ(backwards.bucket_counts,
+            std::vector<uint64_t>(static_cast<size_t>(Histogram::kNumBuckets),
+                                  0));
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 // Determinism and state-machine tests for the live-SLO primitives:
-// SlidingQuantile (log-bucket exactness, bit-identical merges at any
-// thread count, window rotation/aging) and SloMonitor (multi-window
-// burn-rate transitions on a synthetic clock, env overrides).
+// the log-bucket rule (exactness, bounded error, registry Histogram and
+// SlidingQuantile agreeing bucket for bucket), SlidingQuantile
+// (bit-identical merges at any thread count, window rotation/aging) and
+// SloMonitor (multi-window burn-rate transitions on a synthetic clock,
+// env overrides).
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <thread>
@@ -10,6 +14,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "obs/sliding_quantile.h"
 #include "obs/slo.h"
 
@@ -17,40 +22,80 @@ namespace layergcn::obs {
 namespace {
 
 using SQ = SlidingQuantile;
+using H = Histogram;
 
 TEST(SlidingQuantileTest, SmallValuesBucketExactly) {
   // Below kSubBuckets every value owns its own bucket: zero error.
-  for (uint64_t v = 0; v < SQ::kSubBuckets; ++v) {
-    EXPECT_EQ(SQ::BucketIndex(v), static_cast<int>(v));
-    EXPECT_EQ(SQ::BucketUpperEdge(static_cast<int>(v)), v);
+  for (uint64_t v = 0; v < H::kSubBuckets; ++v) {
+    EXPECT_EQ(H::BucketIndex(v), static_cast<int>(v));
+    EXPECT_EQ(H::BucketUpperEdge(static_cast<int>(v)), v);
   }
 }
 
 TEST(SlidingQuantileTest, BucketEdgesAreConsistent) {
   // Every bucket's upper edge maps back into that bucket, edge+1 lands in
   // the next one, and edges strictly increase.
-  for (int b = 0; b < SQ::kNumBuckets; ++b) {
-    const uint64_t edge = SQ::BucketUpperEdge(b);
-    EXPECT_EQ(SQ::BucketIndex(edge), b) << "edge " << edge;
-    if (b + 1 < SQ::kNumBuckets) {
-      EXPECT_EQ(SQ::BucketIndex(edge + 1), b + 1);
-      EXPECT_LT(edge, SQ::BucketUpperEdge(b + 1));
+  for (int b = 0; b < H::kNumBuckets; ++b) {
+    const uint64_t edge = H::BucketUpperEdge(b);
+    EXPECT_EQ(H::BucketIndex(edge), b) << "edge " << edge;
+    if (b + 1 < H::kNumBuckets) {
+      EXPECT_EQ(H::BucketIndex(edge + 1), b + 1);
+      EXPECT_LT(edge, H::BucketUpperEdge(b + 1));
     }
   }
-  EXPECT_EQ(SQ::BucketIndex(SQ::kMaxValue), SQ::kNumBuckets - 1);
+  EXPECT_EQ(H::BucketIndex(H::kMaxValue), H::kNumBuckets - 1);
   // Values past kMaxValue saturate into the final bucket.
-  EXPECT_EQ(SQ::BucketIndex(SQ::kMaxValue + 12345), SQ::kNumBuckets - 1);
-  EXPECT_EQ(SQ::BucketUpperEdge(SQ::kNumBuckets - 1), SQ::kMaxValue);
+  EXPECT_EQ(H::BucketIndex(H::kMaxValue + 12345), H::kNumBuckets - 1);
+  EXPECT_EQ(H::BucketUpperEdge(H::kNumBuckets - 1), H::kMaxValue);
 }
 
 TEST(SlidingQuantileTest, BoundedRelativeError) {
   // The inclusive upper edge over-reports any value by at most
   // 1/kSubBuckets (one sub-bucket of its octave).
   for (uint64_t v : {17ull, 1000ull, 123456ull, 99999999ull, 1ull << 31}) {
-    const uint64_t answer = SQ::BucketUpperEdge(SQ::BucketIndex(v));
+    const uint64_t answer = H::BucketUpperEdge(H::BucketIndex(v));
     EXPECT_GE(answer, v);
     EXPECT_LE(static_cast<double>(answer),
-              static_cast<double>(v) * (1.0 + 1.0 / SQ::kSubBuckets));
+              static_cast<double>(v) * (1.0 + 1.0 / H::kSubBuckets));
+  }
+
+  // One seeded latency-shaped sample (1us .. ~0.5s, heavy tail) through a
+  // registry histogram and a SlidingQuantile: the same buckets, the same
+  // p50/p95/p99, and every answer between the exact nearest-rank quantile
+  // and 17/16 of it.
+  Histogram* registry =
+      MetricsRegistry::Global().GetHistogram("slo_test.agreement_us");
+  registry->Reset();
+  SQ sliding;
+  const uint64_t now = 10'000'000;
+  std::vector<uint64_t> sample;
+  uint64_t x = 20231;
+  for (int i = 0; i < 10'000; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const uint64_t v = (1 + (x >> 33) % 1000) << ((x >> 13) % 10);
+    sample.push_back(v);
+    registry->Observe(v);
+    sliding.Observe(v, now);
+  }
+  const HistogramData data =
+      MetricsRegistry::Global().Snapshot().histograms.at(
+          "slo_test.agreement_us");
+  EXPECT_EQ(data.bucket_counts, sliding.MergedCounts(now));
+  EXPECT_EQ(data.count, sample.size());
+  EXPECT_EQ(data.count, sliding.Count(now));
+  EXPECT_EQ(static_cast<uint64_t>(data.sum), sliding.Sum(now));
+
+  std::sort(sample.begin(), sample.end());
+  const std::vector<double> qs = {0.50, 0.95, 0.99};
+  const std::vector<uint64_t> answers = sliding.Quantiles(qs, now);
+  for (size_t i = 0; i < qs.size(); ++i) {
+    const size_t rank = static_cast<size_t>(
+        std::ceil(qs[i] * static_cast<double>(sample.size())));
+    const uint64_t exact = sample[rank - 1];
+    EXPECT_EQ(data.Quantile(qs[i]), static_cast<double>(answers[i]))
+        << "q " << qs[i];
+    EXPECT_GE(answers[i], exact) << "q " << qs[i];
+    EXPECT_LE(answers[i] * 16, exact * 17) << "q " << qs[i];
   }
 }
 
@@ -107,12 +152,12 @@ TEST(SlidingQuantileTest, QuantileAnswersBucketUpperEdge) {
   // Rank ceil(0.5 * 100) = 50 -> value 50'000, answered at its bucket's
   // inclusive upper edge.
   const uint64_t p50 = quantile.Quantile(0.5, now);
-  EXPECT_EQ(p50, SQ::BucketUpperEdge(SQ::BucketIndex(50'000)));
+  EXPECT_EQ(p50, H::BucketUpperEdge(H::BucketIndex(50'000)));
   const auto qs = quantile.Quantiles({0.5, 0.95, 1.0}, now);
   EXPECT_EQ(qs[0], p50);
   EXPECT_LE(qs[0], qs[1]);
   EXPECT_LE(qs[1], qs[2]);
-  EXPECT_EQ(qs[2], SQ::BucketUpperEdge(SQ::BucketIndex(100'000)));
+  EXPECT_EQ(qs[2], H::BucketUpperEdge(H::BucketIndex(100'000)));
   // Empty horizon answers zero.
   EXPECT_EQ(quantile.Quantile(0.99, now + 2 * quantile.horizon_us()), 0u);
 }

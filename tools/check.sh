@@ -27,8 +27,10 @@
 # a 1k-request sweep through layergcn_serve with every sink attached
 # (access log, Chrome trace, health status, Prometheus exposition,
 # metrics) must emit exactly one schema-valid access record per submitted
-# request — including a malformed-lines batch — and the bench_diff tool
-# must pass a self-compare, flag an injected 20% p99 regression (exit 2),
+# request — including a malformed-lines batch —, the Prometheus
+# serve_latency_us `+Inf` bucket must equal its `_count`, metrics.json's
+# serve.latency_us must have p50 <= p99, and the bench_diff tool must pass
+# a self-compare, flag an injected 20% p99 regression (exit 2),
 # and refuse a cross-hardware comparison (exit 3).
 #
 # The `retrieval` stage serves one trained snapshot in exact and ivf
@@ -168,6 +170,26 @@ run_obs_serve_stage() {
   fi
   if ! grep -q '^layergcn_serve_requests' "${out}/metrics.prom"; then
     echo "OBS-SERVE FAILED: no layergcn_serve_requests in ${out}/metrics.prom"
+    exit 1
+  fi
+  # One histogram behind both sinks: the +Inf bucket is the count, and
+  # the JSON summary's quantiles are ordered.
+  local inf count
+  inf="$(sed -n 's/^layergcn_serve_latency_us_bucket{le="+Inf"} //p' \
+    "${out}/metrics.prom")"
+  count="$(sed -n 's/^layergcn_serve_latency_us_count //p' \
+    "${out}/metrics.prom")"
+  if [[ -z "${count}" || "${inf}" != "${count}" ]]; then
+    echo "OBS-SERVE FAILED: serve_latency_us +Inf bucket '${inf}'" \
+         "!= _count '${count}'"
+    exit 1
+  fi
+  if ! python3 -c '
+import json, sys
+h = json.load(open(sys.argv[1]))["histograms"]["serve.latency_us"]
+sys.exit(0 if h["p50"] <= h["p99"] else 1)
+' "${out}/metrics.json"; then
+    echo "OBS-SERVE FAILED: metrics.json serve.latency_us p50 > p99"
     exit 1
   fi
 
