@@ -1,12 +1,13 @@
 // Microbenchmarks (google-benchmark) of the substrate kernels driving the
-// experiments: SpMM graph convolution, the layer-refinement chain
-// (cosine + row scaling), edge-dropout sampling, GEMM, BPR batch assembly,
-// and top-K ranking — the pieces whose costs §IV-C analyzes
-// (O(2LMT/B) propagation + O(LNT/B) refinement).
+// experiments: SpMM graph convolution, the fused layer-refinement op
+// (propagation + cosine + row scaling + readout), edge-dropout sampling,
+// GEMM, BPR batch assembly, and top-K ranking — the pieces whose costs
+// §IV-C analyzes (O(2LMT/B) propagation + O(LNT/B) refinement).
 
 #include <benchmark/benchmark.h>
 
 #include "core/api.h"
+#include "core/layer_refined_propagation.h"
 #include "models/lightgcn.h"
 #include "tensor/ops.h"
 #include "train/bpr_sampler.h"
@@ -35,18 +36,23 @@ void BM_SpMMGraphConvolution(benchmark::State& state) {
 BENCHMARK(BM_SpMMGraphConvolution)->Arg(16)->Arg(64)->Arg(128);
 
 void BM_LayerRefinement(benchmark::State& state) {
-  // cos(H, X0) + row scaling — the extra O(NT) cost LayerGCN adds per layer.
+  // One layer of the fused refinement op, forward and backward: the SpMM
+  // and the cosine/scale/readout row pass each way, i.e. the propagation
+  // plus the extra O(NT) cost LayerGCN adds per layer.
   const auto& ds = BenchDataset();
+  const sparse::CsrMatrix adj = ds.train_graph.NormalizedAdjacency();
   const int64_t dim = state.range(0);
-  tensor::Matrix h(ds.train_graph.num_nodes(), dim);
   tensor::Matrix x0(ds.train_graph.num_nodes(), dim);
+  tensor::Matrix grad(x0.rows(), x0.cols());
   util::Rng rng(2);
-  h.UniformInit(&rng, -1.f, 1.f);
   x0.UniformInit(&rng, -1.f, 1.f);
   for (auto _ : state) {
-    tensor::Matrix a = tensor::RowwiseCosine(h, x0, 1e-8f);
-    benchmark::DoNotOptimize(
-        tensor::ScaleRows(h, tensor::AddScalar(a, 1e-8f)));
+    ag::Tape tape;
+    ag::Var x = tape.Parameter(&x0, &grad);
+    ag::Var out = core::LayerRefinedPropagation(&adj, x, 1, 1e-8f);
+    tape.Backward(ag::Sum(out));
+    benchmark::DoNotOptimize(grad.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           ds.train_graph.num_nodes() * dim);

@@ -15,13 +15,6 @@ namespace par = layergcn::util::parallel;
 
 namespace {
 
-// Row-block size matching tensor/ops.cpp: one block is ~kDefaultGrain
-// scalar elements. Fixed for a shape, so blocked backward loops stay
-// bit-exact at any worker count.
-int64_t RowGrain(int64_t cols) {
-  return std::max<int64_t>(1, par::kDefaultGrain / std::max<int64_t>(cols, 1));
-}
-
 Tape* TapeOf(Var v) {
   LAYERGCN_CHECK(v.valid()) << "invalid Var";
   return v.tape;
@@ -262,7 +255,7 @@ Var RowwiseCosine(Var a, Var b, float eps) {
             }
           }
         }
-        }, RowGrain(cols));
+        }, par::RowGrain(cols));
         if (need_a) tape->AccumulateGrad(a, std::move(da));
         if (need_b) tape->AccumulateGrad(b, std::move(db));
       },
@@ -309,7 +302,7 @@ Var NormalizeRows(Var x, float eps) {
               pd[c] = static_cast<float>((pg[c] - py[c] * gy) / norm);
             }
           }
-        }, RowGrain(cols));
+        }, par::RowGrain(cols));
         tape->AccumulateGrad(x, std::move(dx));
       },
       "bw.normalize_rows");
@@ -571,7 +564,7 @@ Var SoftmaxRows(Var a) {
               pd[c] = py[c] * (pg[c] - rs);
             }
           }
-        }, RowGrain(cols));
+        }, par::RowGrain(cols));
         tape->AccumulateGrad(a, std::move(dx));
       },
       "bw.softmax_rows");
@@ -598,7 +591,7 @@ Var LogSoftmaxRows(Var a) {
               pd[c] = pg[c] - ps[c] * rs;
             }
           }
-        }, RowGrain(cols));
+        }, par::RowGrain(cols));
         tape->AccumulateGrad(a, std::move(dx));
       },
       "bw.log_softmax_rows");

@@ -74,10 +74,19 @@ float CsrMatrix::At(int64_t r, int64_t c) const {
 }
 
 tensor::Matrix CsrMatrix::Multiply(const tensor::Matrix& dense) const {
+  tensor::Matrix out(rows_, dense.cols());
+  MultiplyAdd(dense, &out);
+  return out;
+}
+
+void CsrMatrix::MultiplyAdd(const tensor::Matrix& dense,
+                            tensor::Matrix* acc) const {
   LAYERGCN_CHECK_EQ(cols_, dense.rows())
       << "SpMM dimension mismatch: " << rows_ << "x" << cols_ << " * "
       << dense.rows() << "x" << dense.cols();
-  tensor::Matrix out(rows_, dense.cols());
+  LAYERGCN_CHECK(acc->rows() == rows_ && acc->cols() == dense.cols())
+      << "SpMM accumulator shape mismatch";
+  tensor::Matrix& out = *acc;
   const int64_t t = dense.cols();
   OBS_SPAN("spmm");
   OBS_COUNT("spmm.calls", 1);
@@ -104,7 +113,7 @@ tensor::Matrix CsrMatrix::Multiply(const tensor::Matrix& dense) const {
   const int64_t ranges = std::min<int64_t>(pool.num_threads(), rows_);
   if (ranges <= 1 || nnz() * t < 131072) {
     run_rows(0, rows_);
-    return out;
+    return;
   }
   std::vector<int64_t> bounds(static_cast<size_t>(ranges) + 1, 0);
   bounds[static_cast<size_t>(ranges)] = rows_;
@@ -120,7 +129,6 @@ tensor::Matrix CsrMatrix::Multiply(const tensor::Matrix& dense) const {
   util::ParallelFor(&pool, 0, ranges, [&](int64_t i) {
     run_rows(bounds[static_cast<size_t>(i)], bounds[static_cast<size_t>(i) + 1]);
   });
-  return out;
 }
 
 CsrMatrix CsrMatrix::Transpose() const {

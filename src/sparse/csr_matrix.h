@@ -70,6 +70,10 @@ class CsrMatrix {
   /// out = this * dense. dense.rows() must equal cols(). Parallel over rows.
   tensor::Matrix Multiply(const tensor::Matrix& dense) const;
 
+  /// *acc += this * dense, accumulated into each row of *acc in place;
+  /// acc must be rows() x dense.cols(). Multiply() is this on a zero *acc.
+  void MultiplyAdd(const tensor::Matrix& dense, tensor::Matrix* acc) const;
+
   /// Returns the transposed matrix.
   CsrMatrix Transpose() const;
 

@@ -17,13 +17,6 @@ void CheckSameShape(const Matrix& a, const Matrix& b, const char* op) {
       << b.rows() << "x" << b.cols();
 }
 
-// Block size for kernels that iterate over rows: scaled so one block is
-// roughly kDefaultGrain scalar elements regardless of the row width. Fixed
-// for a given shape, so the blocked partition stays worker-count-free.
-int64_t RowGrain(int64_t cols) {
-  return std::max<int64_t>(1, par::kDefaultGrain / std::max<int64_t>(cols, 1));
-}
-
 // Elementwise map over the flat buffer, parallel over fixed blocks. Each
 // output element is written by exactly one block, so the result is
 // bit-exact for any worker count.
@@ -139,7 +132,7 @@ Matrix GatherRows(const Matrix& a, const std::vector<int32_t>& rows) {
           std::copy(a.row(r), a.row(r) + cols, out.row(i));
         }
       },
-      RowGrain(cols));
+      par::RowGrain(cols));
   return out;
 }
 
@@ -198,7 +191,7 @@ Matrix ScaleRows(const Matrix& x, const Matrix& s) {
           for (int64_t c = 0; c < cols; ++c) dst[c] = f * src[c];
         }
       },
-      RowGrain(cols));
+      par::RowGrain(cols));
   return out;
 }
 
@@ -217,7 +210,7 @@ Matrix RowDots(const Matrix& a, const Matrix& b) {
           out(r, 0) = static_cast<float>(acc);
         }
       },
-      RowGrain(cols));
+      par::RowGrain(cols));
   return out;
 }
 
@@ -234,7 +227,7 @@ Matrix RowL2Norms(const Matrix& a) {
           out(r, 0) = static_cast<float>(std::sqrt(acc));
         }
       },
-      RowGrain(cols));
+      par::RowGrain(cols));
   return out;
 }
 
@@ -260,7 +253,7 @@ Matrix RowwiseCosine(const Matrix& a, const Matrix& b, float eps) {
           out(r, 0) = static_cast<float>(dot / denom);
         }
       },
-      RowGrain(cols));
+      par::RowGrain(cols));
   return out;
 }
 
@@ -280,7 +273,7 @@ Matrix NormalizeRowsL2(const Matrix& x, float eps) {
           for (int64_t c = 0; c < cols; ++c) dst[c] = src[c] * inv;
         }
       },
-      RowGrain(cols));
+      par::RowGrain(cols));
   return out;
 }
 
@@ -297,7 +290,7 @@ Matrix RowSums(const Matrix& a) {
           out(r, 0) = static_cast<float>(acc);
         }
       },
-      RowGrain(cols));
+      par::RowGrain(cols));
   return out;
 }
 
@@ -329,7 +322,7 @@ Matrix AddRowVector(const Matrix& x, const Matrix& b) {
           for (int64_t c = 0; c < cols; ++c) dst[c] = src[c] + bias[c];
         }
       },
-      RowGrain(cols));
+      par::RowGrain(cols));
   return out;
 }
 
@@ -404,7 +397,7 @@ Matrix SoftmaxRows(const Matrix& a) {
           for (int64_t c = 0; c < cols; ++c) dst[c] *= inv;
         }
       },
-      RowGrain(cols));
+      par::RowGrain(cols));
   return out;
 }
 
@@ -425,7 +418,7 @@ Matrix LogSoftmaxRows(const Matrix& a) {
           for (int64_t c = 0; c < cols; ++c) dst[c] = src[c] - lse;
         }
       },
-      RowGrain(cols));
+      par::RowGrain(cols));
   return out;
 }
 
@@ -482,7 +475,7 @@ Matrix ConcatCols(const std::vector<const Matrix*>& parts) {
           }
         }
       },
-      RowGrain(cols));
+      par::RowGrain(cols));
   return out;
 }
 
@@ -499,7 +492,7 @@ Matrix SliceCols(const Matrix& a, int64_t begin, int64_t end) {
           std::copy(src, src + width, out.row(r));
         }
       },
-      RowGrain(width));
+      par::RowGrain(width));
   return out;
 }
 

@@ -29,6 +29,7 @@
 #ifndef LAYERGCN_UTIL_PARALLEL_H_
 #define LAYERGCN_UTIL_PARALLEL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 
@@ -48,6 +49,13 @@ namespace parallel {
 /// worker); otherwise the same blocked loop runs inline on the caller, so
 /// the work-size cutoff is the grain itself.
 inline constexpr int64_t kDefaultGrain = 16384;
+
+/// Block size for kernels iterating over rows `cols` wide: one block is
+/// roughly kDefaultGrain scalar elements regardless of the row width. Fixed
+/// for a given shape, so the blocked partition stays worker-count-free.
+inline int64_t RowGrain(int64_t cols) {
+  return std::max<int64_t>(1, kDefaultGrain / std::max<int64_t>(cols, 1));
+}
 
 /// Number of fixed blocks for an iteration space of `n` at block size
 /// `grain` (== ceil(n / grain); 0 when n <= 0).

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "autograd/ops.h"
+#include "core/layer_refined_propagation.h"
 #include "gtest/gtest.h"
 #include "sparse/csr_matrix.h"
 #include "tensor/ops.h"
@@ -298,6 +299,79 @@ TEST(GradCheckTest, LayerGcnRefinementChain) {
       layers.push_back(x);
     }
     return Sum(Hadamard(AddN(layers), tape->Constant(w)));
+  };
+  ExpectGradientsMatch(build, {&emb});
+}
+
+// The 6-node symmetric graph of LayerGcnRefinementChain, plus `extra_isolated`
+// nodes with no edges at all.
+sparse::CsrMatrix SixNodeAdjacency(int32_t extra_isolated = 0) {
+  sparse::CooMatrix coo;
+  coo.rows = 6 + extra_isolated;
+  coo.cols = 6 + extra_isolated;
+  auto sym = [&](int32_t a, int32_t b, float v) {
+    coo.entries.push_back({a, b, v});
+    coo.entries.push_back({b, a, v});
+  };
+  sym(0, 3, 0.5f);
+  sym(0, 4, 0.4f);
+  sym(1, 4, 0.7f);
+  sym(2, 5, 0.6f);
+  sym(1, 5, 0.3f);
+  return sparse::CsrMatrix::FromCoo(coo);
+}
+
+TEST(GradCheckTest, LayerRefinedPropagationOneToThreeLayers) {
+  const sparse::CsrMatrix adj = SixNodeAdjacency();
+  for (int layers = 1; layers <= 3; ++layers) {
+    SCOPED_TRACE(layers);
+    util::Rng rng(960 + layers);
+    tensor::Matrix emb = RandomMatrix(6, 4, &rng, -0.8f, 0.8f);
+    tensor::Matrix w = RandomMatrix(6, 4, &rng);
+    LossBuilder build = [&](Tape* tape, const std::vector<Var>& leaves) {
+      Var out = core::LayerRefinedPropagation(&adj, leaves[0], layers, 1e-8f);
+      return Sum(Hadamard(out, tape->Constant(w)));
+    };
+    ExpectGradientsMatch(build, {&emb});
+  }
+}
+
+TEST(GradCheckTest, LayerRefinedPropagationEpsBranch) {
+  // Node 6 has no edges, so its H row is exactly zero and |H||X⁰| = 0 falls
+  // in the constant-denominator branch (the DegreeDrop-isolated case).
+  util::Rng rng(970);
+  const sparse::CsrMatrix isolated = SixNodeAdjacency(/*extra_isolated=*/1);
+  tensor::Matrix emb = RandomMatrix(7, 4, &rng, -0.8f, 0.8f);
+  tensor::Matrix w = RandomMatrix(7, 4, &rng);
+  LossBuilder build = [&](Tape* tape, const std::vector<Var>& leaves) {
+    Var out = core::LayerRefinedPropagation(&isolated, leaves[0], 2, 1e-8f);
+    return Sum(Hadamard(out, tape->Constant(w)));
+  };
+  ExpectGradientsMatch(build, {&emb});
+
+  // A tiny X⁰ row with a large eps keeps |H||X⁰| < eps while H itself is
+  // not zero, so the branch's gradient is non-zero too.
+  const sparse::CsrMatrix adj = SixNodeAdjacency();
+  tensor::Matrix small = RandomMatrix(6, 4, &rng, -0.8f, 0.8f);
+  for (int64_t c = 0; c < small.cols(); ++c) small(3, c) *= 1e-3f;
+  tensor::Matrix w6 = RandomMatrix(6, 4, &rng);
+  LossBuilder build_small = [&](Tape* tape, const std::vector<Var>& leaves) {
+    Var out = core::LayerRefinedPropagation(&adj, leaves[0], 2, 0.05f);
+    return Sum(Hadamard(out, tape->Constant(w6)));
+  };
+  ExpectGradientsMatch(build_small, {&small}, /*eps=*/1e-3f);
+}
+
+TEST(GradCheckTest, LayerRefinedPropagationWithEgoLayerAndMeanReadout) {
+  // include_ego_layer and Readout::kMean as LayerGcn composes them.
+  util::Rng rng(980);
+  const sparse::CsrMatrix adj = SixNodeAdjacency();
+  tensor::Matrix emb = RandomMatrix(6, 4, &rng, -0.8f, 0.8f);
+  tensor::Matrix w = RandomMatrix(6, 4, &rng);
+  LossBuilder build = [&](Tape* tape, const std::vector<Var>& leaves) {
+    Var out = Add(leaves[0],
+                  core::LayerRefinedPropagation(&adj, leaves[0], 3, 1e-8f));
+    return Sum(Hadamard(Scale(out, 1.f / 4.f), tape->Constant(w)));
   };
   ExpectGradientsMatch(build, {&emb});
 }

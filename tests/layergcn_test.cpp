@@ -6,11 +6,18 @@
 #include "core/layergcn.h"
 
 #include <cmath>
+#include <cstring>
 
+#include "core/layer_refined_propagation.h"
+#include "data/split.h"
+#include "data/synthetic.h"
+#include "graph/edge_dropout.h"
 #include "gtest/gtest.h"
 #include "tensor/ops.h"
 #include "test_util.h"
 #include "train/trainer.h"
+#include "util/parallel.h"
+#include "util/thread_pool.h"
 
 namespace layergcn::core {
 namespace {
@@ -218,6 +225,100 @@ TEST(LayerGcnTest, EpsilonKeepsOrthogonalLayersAlive) {
   tensor::Matrix refined = tensor::ScaleRows(h, tensor::AddScalar(a, eps));
   EXPECT_NE(refined(0, 0), 0.f);
   EXPECT_NEAR(refined(0, 0), eps, 1e-6f);
+}
+
+// The composite Eq. 6-9 chain that LayerRefinedPropagation replaced, kept
+// as its reference: per layer SpMMSymmetric → RowwiseCosine → AddScalar →
+// ScaleRows, then one AddN over the layers.
+ag::Var CompositePropagate(const sparse::CsrMatrix* adj, ag::Var x0,
+                           int layers, float eps,
+                           std::vector<double>* mean_similarities) {
+  ag::Tape* tape = x0.tape;
+  std::vector<ag::Var> outs;
+  ag::Var x = x0;
+  for (int l = 0; l < layers; ++l) {
+    ag::Var h = ag::SpMMSymmetric(adj, x);
+    ag::Var a = ag::RowwiseCosine(h, x0, eps);
+    mean_similarities->push_back(tensor::MeanAll(tape->value(a)));
+    x = ag::ScaleRows(h, ag::AddScalar(a, eps));
+    outs.push_back(x);
+  }
+  return ag::AddN(outs);
+}
+
+struct PropagationRun {
+  tensor::Matrix out;
+  tensor::Matrix grad;  // d Σ(out ⊙ w) / d X⁰
+  std::vector<double> mean_similarities;
+};
+
+PropagationRun RunPropagation(bool fused, const sparse::CsrMatrix& adj,
+                              const tensor::Matrix& x0,
+                              const tensor::Matrix& w, int layers,
+                              float eps) {
+  PropagationRun run;
+  run.grad = tensor::Matrix(x0.rows(), x0.cols());
+  ag::Tape tape;
+  ag::Var x = tape.Parameter(&x0, &run.grad);
+  ag::Var out =
+      fused ? LayerRefinedPropagation(&adj, x, layers, eps,
+                                      &run.mean_similarities)
+            : CompositePropagate(&adj, x, layers, eps,
+                                 &run.mean_similarities);
+  run.out = tape.value(out);
+  tape.Backward(ag::Sum(ag::Hadamard(out, tape.Constant(w))));
+  return run;
+}
+
+bool BitIdentical(const tensor::Matrix& a, const tensor::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+}
+
+TEST(LayerGcnTest, FusedPropagationMatchesCompositeOnPrunedGraph) {
+  data::SyntheticConfig syn;
+  syn.num_users = 600;
+  syn.num_items = 400;
+  syn.num_interactions = 8000;
+  const data::Dataset ds = data::ChronologicalSplitDataset(
+      "parity", syn.num_users, syn.num_items,
+      data::GenerateInteractions(syn, /*seed=*/7), 0.8, 0.1);
+  graph::EdgeDropout drop(&ds.train_graph, graph::EdgeDropKind::kDegreeDrop,
+                          0.3);
+  util::Rng rng(5);
+  const sparse::CsrMatrix adj = drop.SampleAdjacency(&rng, /*epoch=*/1);
+  // DegreeDrop must isolate some node, so the eps branch of the cosine
+  // (|H||X⁰| = 0) is part of the comparison.
+  int64_t isolated = 0;
+  for (int64_t r = 0; r < adj.rows(); ++r) isolated += adj.RowNnz(r) == 0;
+  ASSERT_GT(isolated, 0);
+
+  const int layers = 4;
+  const float eps = 1e-8f;
+  const tensor::Matrix x0 =
+      layergcn::testing::RandomMatrix(adj.rows(), 64, &rng, -0.1f, 0.1f);
+  const tensor::Matrix w =
+      layergcn::testing::RandomMatrix(adj.rows(), 64, &rng);
+
+  const PropagationRun composite =
+      RunPropagation(/*fused=*/false, adj, x0, w, layers, eps);
+  const PropagationRun fused =
+      RunPropagation(/*fused=*/true, adj, x0, w, layers, eps);
+  EXPECT_TRUE(fused.out.Equals(composite.out));
+  EXPECT_TRUE(fused.grad.AllClose(composite.grad, 1e-5f));
+  EXPECT_EQ(fused.mean_similarities, composite.mean_similarities);
+
+  std::vector<PropagationRun> by_width;
+  for (int width : {1, 2, 8}) {
+    util::ThreadPool pool(width);
+    util::parallel::ScopedComputePool scope(&pool);
+    by_width.push_back(RunPropagation(/*fused=*/true, adj, x0, w, layers,
+                                      eps));
+  }
+  for (size_t i = 1; i < by_width.size(); ++i) {
+    EXPECT_TRUE(BitIdentical(by_width[i].out, by_width[0].out)) << i;
+    EXPECT_TRUE(BitIdentical(by_width[i].grad, by_width[0].grad)) << i;
+  }
 }
 
 }  // namespace

@@ -15,8 +15,9 @@
 #                       test, against data races in that layer.
 #
 # After the release tests, the `perfbench` stage runs the benchmark's
-# statistics self-test (`perfbench/run.py --selftest`) and builds its
-# workload driver against the library.
+# statistics self-test (`perfbench/run.py --selftest`), builds its
+# workload driver against the library, and runs a 3 s `train` workload
+# whose result line must read "correct": true and "failed": 0.
 #
 # The `obs` stage trains a small synthetic run through layergcn_cli with
 # all three observability sinks (--trace-out, --metrics-out,
@@ -119,6 +120,22 @@ run_perfbench_stage() {
   ( cd "${repo_root}" && python3 perfbench/run.py --selftest )
   echo "=== [perfbench] build the workload driver ==="
   cmake --build "${repo_root}/.bench_build" -j "${jobs}" --target perfbench
+  # A short train run puts the workload's own checks (finite losses,
+  # repeatable evaluation, served ranking == evaluation ranking) over the
+  # training path before merge.
+  echo "=== [perfbench] short train workload ==="
+  local result
+  result="$(cd "${repo_root}" &&
+            python3 perfbench/run.py --workload train --seconds 3 --trace 0 |
+            tail -n 1)"
+  echo "${result}"
+  python3 -c '
+import json, sys
+r = json.loads(sys.argv[1])
+if r.get("correct") is not True or r.get("failed") != 0:
+    sys.exit("perfbench train: correct=%s failed=%s"
+             % (r.get("correct"), r.get("failed")))
+' "${result}"
 }
 run_perfbench_stage
 
