@@ -3,7 +3,9 @@
 // Trains the same model/config/seed at 1, 2, and max threads through the
 // deterministic parallel layer (util/parallel.h) and records per-epoch
 // wall-clock plus the per-phase breakdown from the observability span
-// counters (adjacency resampling, BPR sampling, forward, backward, Adam).
+// counters (adjacency resampling, BPR sampling, forward, backward, Adam),
+// and the minor page faults of a steady epoch (the getrusage ru_minflt
+// delta around TrainEpoch, averaged over every epoch after the first).
 // Because the parallel layer is bit-deterministic, the epoch losses must be
 // identical across thread counts — the bench verifies that too, and fails
 // if any loss differs.
@@ -11,6 +13,8 @@
 // Emits BENCH_train_epoch.json. The scaling acceptance (>= 2x epoch speedup
 // at 4+ threads) is only judged when the machine actually has 4+ cores;
 // on smaller boxes the numbers are recorded and the check is skipped.
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -43,7 +47,42 @@ struct RunResult {
   double forward_seconds = 0.0;
   double backward_seconds = 0.0;
   double adam_seconds = 0.0;
+  double minor_faults = 0.0;  // per steady epoch
   std::vector<double> epoch_losses;
+};
+
+int64_t MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+// LayerGCN that counts the process's minor page faults inside each
+// TrainEpoch (the batches: sampling, forward, backward, Adam).
+class FaultCountingLayerGcn : public core::LayerGcn {
+ public:
+  double TrainEpoch(util::Rng* rng,
+                    std::vector<double>* batch_losses) override {
+    const int64_t before = MinorFaults();
+    const double loss = core::LayerGcn::TrainEpoch(rng, batch_losses);
+    epoch_faults_.push_back(MinorFaults() - before);
+    return loss;
+  }
+
+  // Mean over the epochs after the first, which also faults in the
+  // buffers every later epoch reuses; the first epoch alone otherwise.
+  double SteadyFaultsPerEpoch() const {
+    if (epoch_faults_.empty()) return 0.0;
+    const size_t first = epoch_faults_.size() > 1 ? 1 : 0;
+    double sum = 0.0;
+    for (size_t e = first; e < epoch_faults_.size(); ++e) {
+      sum += static_cast<double>(epoch_faults_[e]);
+    }
+    return sum / static_cast<double>(epoch_faults_.size() - first);
+  }
+
+ private:
+  std::vector<int64_t> epoch_faults_;
 };
 
 double SpanSeconds(const obs::MetricsSnapshot& after,
@@ -59,7 +98,7 @@ RunResult TrainAtWidth(const data::Dataset& ds, const train::TrainConfig& cfg,
   util::ThreadPool pool(threads);
   util::parallel::ScopedComputePool scope(&pool);
 
-  core::LayerGcn model;
+  FaultCountingLayerGcn model;
   const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   const train::TrainResult r = train::FitRecommender(&model, ds, cfg);
   const obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
@@ -74,6 +113,7 @@ RunResult TrainAtWidth(const data::Dataset& ds, const train::TrainConfig& cfg,
   out.forward_seconds = SpanSeconds(after, before, "train.forward") / epochs;
   out.backward_seconds = SpanSeconds(after, before, "train.backward") / epochs;
   out.adam_seconds = SpanSeconds(after, before, "adam.step") / epochs;
+  out.minor_faults = model.SteadyFaultsPerEpoch();
   out.epoch_losses = r.epoch_losses;
   return out;
 }
@@ -119,9 +159,11 @@ int main(int argc, char** argv) {
     const RunResult& r = runs.back();
     std::printf(
         "  epoch %7.3fs  (graph %.3fs, sampler %.3fs, forward %.3fs, "
-        "backward %.3fs, adam %.3fs)  final loss %.9g\n",
+        "backward %.3fs, adam %.3fs)  %.0f minor faults/epoch  "
+        "final loss %.9g\n",
         r.epoch_seconds, r.graph_seconds, r.sampler_seconds,
         r.forward_seconds, r.backward_seconds, r.adam_seconds,
+        r.minor_faults,
         r.epoch_losses.empty() ? 0.0 : r.epoch_losses.back());
   }
 
@@ -166,10 +208,11 @@ int main(int argc, char** argv) {
                  "    {\"threads\": %d, \"epoch_seconds\": %.6f, "
                  "\"graph_seconds\": %.6f, \"sampler_seconds\": %.6f, "
                  "\"forward_seconds\": %.6f, \"backward_seconds\": %.6f, "
-                 "\"adam_seconds\": %.6f, \"final_loss\": %.17g}%s\n",
+                 "\"adam_seconds\": %.6f, \"minor_faults_per_epoch\": %.1f, "
+                 "\"final_loss\": %.17g}%s\n",
                  r.threads, r.epoch_seconds, r.graph_seconds,
                  r.sampler_seconds, r.forward_seconds, r.backward_seconds,
-                 r.adam_seconds,
+                 r.adam_seconds, r.minor_faults,
                  r.epoch_losses.empty() ? 0.0 : r.epoch_losses.back(),
                  i + 1 < runs.size() ? "," : "");
   }

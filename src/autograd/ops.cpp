@@ -132,10 +132,12 @@ Var SpMM(const sparse::CsrMatrix* m, const sparse::CsrMatrix* m_transpose,
   LAYERGCN_CHECK(m != nullptr && m_transpose != nullptr);
   Tape* tp = TapeOf(x);
   OBS_SPAN("fw.spmm");
-  Matrix out = m->Multiply(tp->value(x));
+  const Matrix& xv = tp->value(x);
+  Matrix out = tp->NewMatrix(m->rows(), xv.cols());
+  m->Multiply(xv, &out);
   return tp->Emit(std::move(out), tp->requires_grad(x),
                   [m_transpose, x](Tape* tape, const Matrix& g) {
-                    tape->AccumulateGrad(x, m_transpose->Multiply(g));
+                    m_transpose->MultiplyAdd(g, tape->GradBuffer(x));
                   }, "bw.spmm");
 }
 
@@ -146,13 +148,14 @@ Var SpMMSymmetric(const sparse::CsrMatrix* m, Var x) {
 Var GatherRows(Var x, std::vector<int32_t> rows) {
   Tape* tp = TapeOf(x);
   OBS_SPAN("fw.gather_rows");
-  Matrix out = t::GatherRows(tp->value(x), rows);
+  const Matrix& xv = tp->value(x);
+  Matrix out = tp->NewMatrix(static_cast<int64_t>(rows.size()), xv.cols());
+  t::GatherRows(xv, rows, &out);
   return tp->Emit(
       std::move(out), tp->requires_grad(x),
       [x, rows = std::move(rows)](Tape* tape, const Matrix& g) {
-        Matrix dx(tape->value(x).rows(), tape->value(x).cols());
-        t::ScatterAddRows(&dx, rows, g);
-        tape->AccumulateGrad(x, std::move(dx));
+        // Row-sparse: only the gathered rows of x's gradient are touched.
+        t::ScatterAddRows(tape->GradBuffer(x), rows, g);
       },
       "bw.gather_rows");
 }
@@ -177,13 +180,27 @@ Var RowDots(Var a, Var b) {
   Matrix out = t::RowDots(tp->value(a), tp->value(b));
   const bool rg = tp->requires_grad(a) || tp->requires_grad(b);
   return tp->Emit(std::move(out), rg, [a, b](Tape* tape, const Matrix& g) {
-    // g is Nx1; d a_r = g_r * b_r.
-    if (tape->requires_grad(a)) {
-      tape->AccumulateGrad(a, t::ScaleRows(tape->value(b), g));
-    }
-    if (tape->requires_grad(b)) {
-      tape->AccumulateGrad(b, t::ScaleRows(tape->value(a), g));
-    }
+    // g is Nx1; d a_r += g_r * b_r and d b_r += g_r * a_r, in place.
+    const Matrix& av = tape->value(a);
+    const Matrix& bv = tape->value(b);
+    Matrix* da = tape->GradBuffer(a);
+    Matrix* db = tape->GradBuffer(b);
+    const int64_t cols = av.cols();
+    par::For(av.rows(), [&](int64_t row_lo, int64_t row_hi) {
+      for (int64_t r = row_lo; r < row_hi; ++r) {
+        const float gr = g(r, 0);
+        if (da != nullptr) {
+          const float* pb = bv.row(r);
+          float* pd = da->row(r);
+          for (int64_t c = 0; c < cols; ++c) pd[c] += pb[c] * gr;
+        }
+        if (db != nullptr) {
+          const float* pa = av.row(r);
+          float* pd = db->row(r);
+          for (int64_t c = 0; c < cols; ++c) pd[c] += pa[c] * gr;
+        }
+      }
+    }, par::RowGrain(cols));
   }, "bw.row_dots");
 }
 
@@ -462,8 +479,8 @@ Var SumSquares(Var a) {
   Matrix out = Matrix::Scalar(static_cast<float>(t::SumSquares(tp->value(a))));
   return tp->Emit(std::move(out), tp->requires_grad(a),
                   [a](Tape* tape, const Matrix& g) {
-                    Matrix dx = t::Scale(tape->value(a), 2.f * g.scalar());
-                    tape->AccumulateGrad(a, std::move(dx));
+                    t::AxpyInPlace(tape->GradBuffer(a), 2.f * g.scalar(),
+                                   tape->value(a));
                   }, "bw.sum_squares");
 }
 

@@ -4,7 +4,10 @@
 // backward closure on the tape. Ops whose backward pass needs an *input*
 // value capture the input Var and read it back from the tape (values persist
 // for the tape's lifetime — no copy); ops whose backward needs their *output*
-// (sigmoid, tanh, softmax) capture a copy of the output.
+// (sigmoid, tanh, softmax) capture a copy of the output. The hot training
+// ops (SpMM, GatherRows, RowDots, SumSquares) draw their outputs from the
+// tape's recycled storage and add their input gradients in place into
+// Tape::GradBuffer().
 //
 // Gradient correctness for every op is verified against central differences
 // in tests/autograd_gradcheck_test.cpp.
@@ -53,7 +56,8 @@ Var SpMMSymmetric(const sparse::CsrMatrix* m, Var x);
 
 // --- Row-structured ops ---
 
-/// Gathers rows of x (embedding lookup). Backward scatter-adds.
+/// Gathers rows of x (embedding lookup). Backward scatter-adds the B
+/// gathered rows into x's gradient buffer: O(B·T), whatever x's height.
 Var GatherRows(Var x, std::vector<int32_t> rows);
 
 /// Multiplies row r of x by s(r, 0); s must be Nx1. This is the layer

@@ -1,5 +1,6 @@
 #include "autograd/tape.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/trace.h"
@@ -59,35 +60,84 @@ Var Tape::Emit(Matrix value, bool requires_grad, BackwardFn backward,
   return Var{this, static_cast<int32_t>(nodes_.size() - 1)};
 }
 
-void Tape::AccumulateGrad(Var v, const Matrix& g) {
+Matrix Tape::NewMatrix(int64_t rows, int64_t cols) {
+  for (size_t i = free_.size(); i-- > 0;) {
+    if (free_[i].rows() == rows && free_[i].cols() == cols) {
+      Matrix m = std::move(free_[i]);
+      free_[i] = std::move(free_.back());
+      free_.pop_back();
+      return m;
+    }
+  }
+  return Matrix(rows, cols);
+}
+
+Matrix* Tape::Keep(Matrix m) {
+  kept_.push_back(std::move(m));
+  return &kept_.back();
+}
+
+void Tape::Reset() {
+  // Storage the step just ended did not draw is released; everything the
+  // step left on the tape becomes the free list of the next one.
+  free_.clear();
+  const auto recycle = [this](Matrix& m) {
+    if (!m.empty()) free_.push_back(std::move(m));
+  };
+  for (Node& n : nodes_) {
+    recycle(n.owned_value);
+    recycle(n.grad);
+  }
+  for (Matrix& m : kept_) recycle(m);
+  nodes_.clear();
+  kept_.clear();
+  backward_done_ = false;
+}
+
+Matrix* Tape::GradBuffer(Var v) {
   Node& n = node(v);
-  if (!n.requires_grad) return;
+  if (!n.requires_grad) return nullptr;
+  if (n.grad_sink != nullptr) return n.grad_sink;
+  if (n.grad.empty()) {
+    n.grad = NewMatrix(n.owned_value.rows(), n.owned_value.cols());
+    n.grad.Zero();
+  }
+  return &n.grad;
+}
+
+Tape::Node* Tape::GradTarget(Var v, const Matrix& g) {
+  Node& n = node(v);
+  if (!n.requires_grad) return nullptr;
   const Matrix& val = n.external != nullptr ? *n.external : n.owned_value;
   LAYERGCN_CHECK(g.rows() == val.rows() && g.cols() == val.cols())
       << "gradient shape mismatch: " << g.rows() << "x" << g.cols() << " vs "
       << val.rows() << "x" << val.cols();
-  if (n.grad.empty()) {
-    n.grad = g;
-  } else {
-    tensor::AddInPlace(&n.grad, g);
+  return &n;
+}
+
+void Tape::AccumulateGrad(Var v, const Matrix& g) {
+  Node* n = GradTarget(v, g);
+  if (n == nullptr) return;
+  if (n->grad_sink == nullptr && n->grad.empty()) {
+    n->grad = NewMatrix(g.rows(), g.cols());
+    std::copy(g.data(), g.data() + g.size(), n->grad.data());
+    return;
   }
+  tensor::AddInPlace(GradBuffer(v), g);
 }
 
 void Tape::AccumulateGrad(Var v, Matrix&& g) {
-  Node& n = node(v);
-  if (!n.requires_grad) return;
-  const Matrix& val = n.external != nullptr ? *n.external : n.owned_value;
-  LAYERGCN_CHECK(g.rows() == val.rows() && g.cols() == val.cols())
-      << "gradient shape mismatch";
-  if (n.grad.empty()) {
-    n.grad = std::move(g);
-  } else {
-    tensor::AddInPlace(&n.grad, g);
+  Node* n = GradTarget(v, g);
+  if (n == nullptr) return;
+  if (n->grad_sink == nullptr && n->grad.empty()) {
+    n->grad = std::move(g);
+    return;
   }
+  tensor::AddInPlace(GradBuffer(v), g);
 }
 
 void Tape::Backward(Var loss) {
-  LAYERGCN_CHECK(!backward_done_) << "Backward() may run once per tape";
+  LAYERGCN_CHECK(!backward_done_) << "Backward() may run once per tape step";
   backward_done_ = true;
   const Matrix& lv = value(loss);
   LAYERGCN_CHECK(lv.rows() == 1 && lv.cols() == 1)
@@ -97,16 +147,14 @@ void Tape::Backward(Var loss) {
   OBS_SPAN("tape.backward");
   for (int64_t i = loss.id; i >= 0; --i) {
     Node& n = nodes_[static_cast<size_t>(i)];
-    if (!n.requires_grad || n.grad.empty()) continue;
-    if (n.backward) {
-      if (n.op_name != nullptr) {
-        OBS_SPAN_DYNAMIC(n.op_name);
-        n.backward(this, n.grad);
-      } else {
-        n.backward(this, n.grad);
-      }
+    // Leaves have no closure: their gradient already sits in the sink.
+    if (!n.backward || n.grad.empty()) continue;
+    if (n.op_name != nullptr) {
+      OBS_SPAN_DYNAMIC(n.op_name);
+      n.backward(this, n.grad);
+    } else {
+      n.backward(this, n.grad);
     }
-    if (n.grad_sink != nullptr) tensor::AddInPlace(n.grad_sink, n.grad);
   }
 }
 

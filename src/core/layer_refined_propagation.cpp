@@ -66,19 +66,25 @@ ag::Var LayerRefinedPropagation(const sparse::CsrMatrix* adj, ag::Var x0,
   const int64_t d = x0v.cols();
   const int64_t grain = par::RowGrain(d);
 
-  std::vector<Matrix> hs;  // H^l, saved for the backward pass
+  // Every buffer comes from the tape's recycled storage and is overwritten
+  // in full before it is read, so none is zeroed. The ones the backward
+  // needs (H^l, s^l and the X^{l+1} scratch, which becomes its G_H buffer)
+  // are kept on the tape until its next Reset().
+  std::vector<const Matrix*> hs;  // H^l
   hs.reserve(static_cast<size_t>(num_layers));
-  Matrix scales(num_layers, n);  // row l holds s^l
-  Matrix out(n, d);
-  Matrix x_next(n, d);  // X^{l+1}, overwritten each layer
+  Matrix* scales = tape->Keep(tape->NewMatrix(num_layers, n));  // row l: s^l
+  Matrix* x_next = tape->Keep(tape->NewMatrix(n, d));  // X^{l+1}, per layer
+  Matrix out = tape->NewMatrix(n, d);
   Matrix cosines(mean_similarities != nullptr ? n : 0, 1);
   for (int l = 0; l < num_layers; ++l) {
+    Matrix* hl = tape->Keep(tape->NewMatrix(n, d));
     {
       OBS_SPAN("fw.spmm");
-      hs.push_back(adj->Multiply(l == 0 ? x0v : x_next));
+      adj->Multiply(l == 0 ? x0v : *x_next, hl);
     }
-    const Matrix& h = hs.back();
-    float* s = scales.row(l);
+    hs.push_back(hl);
+    const Matrix& h = *hl;
+    float* s = scales->row(l);
     {
       OBS_SPAN("fw.rowwise_cosine");
       par::For(n, [&](int64_t lo, int64_t hi) {
@@ -97,7 +103,7 @@ ag::Var LayerRefinedPropagation(const sparse::CsrMatrix* adj, ag::Var x0,
           if (mean_similarities != nullptr) cosines(r, 0) = a;
           const float f = a + eps;
           s[r] = f;
-          float* px = x_next.row(r);
+          float* px = x_next->row(r);
           float* po = out.row(r);
           for (int64_t c = 0; c < d; ++c) px[c] = f * ph[c];
           if (l == 0) {
@@ -113,24 +119,25 @@ ag::Var LayerRefinedPropagation(const sparse::CsrMatrix* adj, ag::Var x0,
     }
   }
 
-  // The backward reuses x_next's storage for the gradient of H^l, so the
-  // forward frees no N×T buffer that later allocations would fill.
   return tape->Emit(
       std::move(out), tape->requires_grad(x0),
-      [adj, x0, eps, grain, hs = std::move(hs), scales = std::move(scales),
-       gh = std::move(x_next)](ag::Tape* tape, const Matrix& g) mutable {
+      [adj, x0, eps, grain, hs = std::move(hs), scales,
+       gh = x_next](ag::Tape* tape, const Matrix& g) {
         const Matrix& x0v = tape->value(x0);
         const int64_t n = x0v.rows();
         const int64_t d = x0v.cols();
         const int num_layers = static_cast<int>(hs.size());
-        Matrix dx0(n, d);
-        Matrix gx;  // gradient of X^l for 0 < l < L, reused
+        // dX⁰ lands straight in X⁰'s accumulator (its sink for a leaf).
+        Matrix* dx0 = tape->GradBuffer(x0);
+        // Gradient of X^l for 0 < l < L, reused across layers.
+        Matrix* gx =
+            num_layers > 1 ? tape->Keep(tape->NewMatrix(n, d)) : nullptr;
         for (int l = num_layers - 1; l >= 0; --l) {
           // Gradient of X^{l+1}: the readout's g, plus Â·G_H^{l+1} below
           // the top layer.
-          const Matrix& gxl = l == num_layers - 1 ? g : gx;
-          const Matrix& h = hs[static_cast<size_t>(l)];
-          const float* s = scales.row(l);
+          const Matrix& gxl = l == num_layers - 1 ? g : *gx;
+          const Matrix& h = *hs[static_cast<size_t>(l)];
+          const float* s = scales->row(l);
           {
             OBS_SPAN("bw.rowwise_cosine");
             par::For(n, [&](int64_t lo, int64_t hi) {
@@ -138,7 +145,7 @@ ag::Var LayerRefinedPropagation(const sparse::CsrMatrix* adj, ag::Var x0,
                 const float* pg = gxl.row(r);
                 const float* ph = h.row(r);
                 const float* pb = x0v.row(r);
-                float* pgh = gh.row(r);
+                float* pgh = gh->row(r);
                 const BackwardSums sums = RowSums(pg, ph, pb, d);
                 const float gs = static_cast<float>(sums.gh);  // ∂L/∂s
                 const float sr = s[r];
@@ -159,7 +166,7 @@ ag::Var LayerRefinedPropagation(const sparse::CsrMatrix* adj, ag::Var x0,
                   vh = static_cast<float>(gs * cval / sums.hh);
                   vb = static_cast<float>(gs * cval / sums.bb);
                 }
-                float* pdx0 = dx0.row(r);
+                float* pdx0 = dx0->row(r);
                 for (int64_t c = 0; c < d; ++c) {
                   pgh[c] = sr * pg[c] + (u * pb[c] - vh * ph[c]);
                   pdx0[c] += u * ph[c] - vb * pb[c];
@@ -169,13 +176,12 @@ ag::Var LayerRefinedPropagation(const sparse::CsrMatrix* adj, ag::Var x0,
           }
           OBS_SPAN("bw.spmm");
           if (l > 0) {
-            gx = g;
-            adj->MultiplyAdd(gh, &gx);
+            std::copy(g.data(), g.data() + g.size(), gx->data());
+            adj->MultiplyAdd(*gh, gx);
           } else {
-            adj->MultiplyAdd(gh, &dx0);
+            adj->MultiplyAdd(*gh, dx0);
           }
         }
-        tape->AccumulateGrad(x0, std::move(dx0));
       },
       "bw.layer_refined");
 }

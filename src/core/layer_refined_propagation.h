@@ -11,7 +11,10 @@
 // gradients of the row scale and of the cosine) and one SpMM that carries
 // the gradient to the layer below. Only H^l and s^l are saved for the
 // backward pass; the forward's scratch buffer becomes the backward's G_H
-// buffer.
+// buffer. All of these, the output and the backward's G_X buffer are drawn
+// from the tape's recycled storage (Tape::NewMatrix) and kept on the tape
+// (Tape::Keep), and X⁰'s gradient is added in place into
+// Tape::GradBuffer(x0), so a reused tape allocates no N×T matrix here.
 //
 // The forward is element-wise equal to the composite chain SpMMSymmetric →
 // RowwiseCosine → AddScalar → ScaleRows per layer followed by AddN: the row

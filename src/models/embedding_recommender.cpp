@@ -92,6 +92,9 @@ double EmbeddingRecommender::TrainEpoch(util::Rng* rng,
   // Iterate by the known batch count (instead of draining NextBatch) so the
   // per-batch span never opens for the empty trailing call.
   const int64_t num_batches = sampler_->NumBatches(config_.batch_size);
+  // One tape per epoch: each batch resets it, so the N×T and B×T buffers of
+  // one batch are recycled by the next instead of freed and re-faulted.
+  ag::Tape tape;
   for (int64_t b = 0; b < num_batches; ++b) {
     // Graceful stop (SIGINT/SIGTERM): finish at a batch boundary; the
     // trainer discards this partial epoch and resumes from the last
@@ -103,7 +106,7 @@ double EmbeddingRecommender::TrainEpoch(util::Rng* rng,
       const bool ok = sampler_->NextBatch(config_.batch_size, rng, &batch);
       LAYERGCN_CHECK(ok) << "sampler exhausted before NumBatches()";
     }
-    ag::Tape tape;
+    tape.Reset();
     ag::Var x0 = tape.Parameter(&embeddings_.value, &embeddings_.grad);
     ag::Var loss;
     {

@@ -79,8 +79,18 @@ tensor::Matrix CsrMatrix::Multiply(const tensor::Matrix& dense) const {
   return out;
 }
 
+void CsrMatrix::Multiply(const tensor::Matrix& dense,
+                         tensor::Matrix* out) const {
+  Spmm(dense, out, /*accumulate=*/false);
+}
+
 void CsrMatrix::MultiplyAdd(const tensor::Matrix& dense,
                             tensor::Matrix* acc) const {
+  Spmm(dense, acc, /*accumulate=*/true);
+}
+
+void CsrMatrix::Spmm(const tensor::Matrix& dense, tensor::Matrix* acc,
+                     bool accumulate) const {
   LAYERGCN_CHECK_EQ(cols_, dense.rows())
       << "SpMM dimension mismatch: " << rows_ << "x" << cols_ << " * "
       << dense.rows() << "x" << dense.cols();
@@ -95,6 +105,9 @@ void CsrMatrix::MultiplyAdd(const tensor::Matrix& dense,
   const auto run_rows = [&](int64_t lo, int64_t hi) {
     for (int64_t r = lo; r < hi; ++r) {
       float* dst = out.row(r);
+      // Overwriting zeroes each row right before accumulating into it, so
+      // the zeroing is split across the ranges like the products.
+      if (!accumulate) std::fill(dst, dst + t, 0.f);
       for (int64_t p = row_ptr_[static_cast<size_t>(r)];
            p < row_ptr_[static_cast<size_t>(r) + 1]; ++p) {
         const float w = values_[static_cast<size_t>(p)];

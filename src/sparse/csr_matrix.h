@@ -70,6 +70,10 @@ class CsrMatrix {
   /// out = this * dense. dense.rows() must equal cols(). Parallel over rows.
   tensor::Matrix Multiply(const tensor::Matrix& dense) const;
 
+  /// *out = this * dense, overwriting *out (rows() x dense.cols()) in
+  /// place; its prior contents are ignored. Equals Multiply(dense) bitwise.
+  void Multiply(const tensor::Matrix& dense, tensor::Matrix* out) const;
+
   /// *acc += this * dense, accumulated into each row of *acc in place;
   /// acc must be rows() x dense.cols(). Multiply() is this on a zero *acc.
   void MultiplyAdd(const tensor::Matrix& dense, tensor::Matrix* acc) const;
@@ -84,6 +88,10 @@ class CsrMatrix {
   bool IsSymmetric(float tol = 0.f) const;
 
  private:
+  // The SpMM kernel behind Multiply (accumulate=false) and MultiplyAdd.
+  void Spmm(const tensor::Matrix& dense, tensor::Matrix* acc,
+            bool accumulate) const;
+
   int64_t rows_ = 0;
   int64_t cols_ = 0;
   std::vector<int64_t> row_ptr_;   // size rows_+1

@@ -122,6 +122,15 @@ Matrix Transpose(const Matrix& a) {
 
 Matrix GatherRows(const Matrix& a, const std::vector<int32_t>& rows) {
   Matrix out(static_cast<int64_t>(rows.size()), a.cols());
+  GatherRows(a, rows, &out);
+  return out;
+}
+
+void GatherRows(const Matrix& a, const std::vector<int32_t>& rows,
+                Matrix* out) {
+  LAYERGCN_CHECK(out->rows() == static_cast<int64_t>(rows.size()) &&
+                 out->cols() == a.cols())
+      << "GatherRows output shape mismatch";
   const int64_t cols = a.cols();
   par::For(
       static_cast<int64_t>(rows.size()),
@@ -129,11 +138,10 @@ Matrix GatherRows(const Matrix& a, const std::vector<int32_t>& rows) {
         for (int64_t i = lo; i < hi; ++i) {
           const int64_t r = rows[static_cast<size_t>(i)];
           LAYERGCN_CHECK(r >= 0 && r < a.rows()) << "GatherRows: row " << r;
-          std::copy(a.row(r), a.row(r) + cols, out.row(i));
+          std::copy(a.row(r), a.row(r) + cols, out->row(i));
         }
       },
       par::RowGrain(cols));
-  return out;
 }
 
 void ScatterAddRows(Matrix* dst, const std::vector<int32_t>& rows,

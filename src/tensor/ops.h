@@ -67,6 +67,11 @@ Matrix Transpose(const Matrix& a);
 /// Returns the |rows| x cols matrix whose i-th row is a.row(rows[i]).
 Matrix GatherRows(const Matrix& a, const std::vector<int32_t>& rows);
 
+/// GatherRows into *out, which must be |rows| x a.cols(); every entry is
+/// overwritten, so *out may hold anything on entry.
+void GatherRows(const Matrix& a, const std::vector<int32_t>& rows,
+                Matrix* out);
+
 /// dst.row(rows[i]) += src.row(i) for every i. Duplicate indices accumulate.
 void ScatterAddRows(Matrix* dst, const std::vector<int32_t>& rows,
                     const Matrix& src);

@@ -62,7 +62,8 @@ class ThreadPool {
 void ParallelFor(ThreadPool* pool, int64_t begin, int64_t end,
                  const std::function<void(int64_t)>& body);
 
-/// ParallelFor on the global pool.
+/// ParallelFor on parallel::ComputePool() (util/parallel.h), which honours
+/// a ScopedComputePool override.
 void ParallelFor(int64_t begin, int64_t end,
                  const std::function<void(int64_t)>& body);
 
@@ -75,7 +76,7 @@ void ParallelFor(int64_t begin, int64_t end,
 void ParallelForRanges(ThreadPool* pool, int64_t begin, int64_t end,
                        const std::function<void(int64_t, int64_t)>& body);
 
-/// ParallelForRanges on the global pool.
+/// ParallelForRanges on parallel::ComputePool() (util/parallel.h).
 void ParallelForRanges(int64_t begin, int64_t end,
                        const std::function<void(int64_t, int64_t)>& body);
 

@@ -7,7 +7,9 @@
 
 #include "autograd/ops.h"
 #include "core/layer_refined_propagation.h"
+#include "core/layergcn.h"
 #include "gtest/gtest.h"
+#include "models/lightgcn.h"
 #include "sparse/csr_matrix.h"
 #include "tensor/ops.h"
 #include "test_util.h"
@@ -413,6 +415,75 @@ TEST(GradCheckTest, EhcfEfficientLoss) {
     return Add(pos_part, Scale(Sum(gram), 0.05f));
   };
   ExpectGradientsMatch(build, {&u, &v});
+}
+
+// --- Whole-model losses: BatchLoss + Backward against central differences ---
+
+// Exposes an embedding model's protected BatchLoss and its ego table X⁰.
+template <typename Model>
+class BatchLossProbe : public Model {
+ public:
+  using Model::Model;
+  using Model::BatchLoss;
+  tensor::Matrix* ego() { return &this->embeddings_.value; }
+};
+
+// dynet-style CheckGrad of a model's whole training loss with respect to
+// every X⁰ entry, on the tiny fixture graph (6 users, 5 items) and a fixed
+// batch. Rows 0 and 3 (users) and 6, 7, 8, 10 (items 0, 1, 2, 4) are in the
+// batch; rows 1, 2, 4, 5 and 9 reach the loss only through propagation.
+template <typename Model>
+void ExpectBatchLossMatchesFiniteDifferences(BatchLossProbe<Model>* model,
+                                             const train::TrainConfig& cfg) {
+  const data::Dataset ds = layergcn::testing::TinyDataset();
+  util::Rng rng(cfg.seed);
+  model->Init(ds, cfg, &rng);
+  model->BeginEpoch(1, &rng);  // samples Â_p when the model prunes edges
+  train::BprBatch batch;
+  batch.users = {0, 3, 3};
+  batch.pos_items = {1, 2, 4};
+  batch.neg_items = {4, 0, 1};
+  LossBuilder build = [&](Tape* tape, const std::vector<Var>& leaves) {
+    return model->BatchLoss(tape, leaves[0], batch, &rng);
+  };
+  tensor::Matrix* x0 = model->ego();
+  ExpectGradientsMatch(build, {x0}, /*eps=*/1e-2f, /*rel_tol=*/5e-3f,
+                       /*abs_tol=*/5e-4f, /*max_checks=*/x0->size());
+
+  // The probe is only meaningful if propagation carries gradient to rows
+  // outside the batch.
+  tensor::Matrix grad(x0->rows(), x0->cols());
+  Tape tape;
+  tape.Backward(build(&tape, {tape.Parameter(x0, &grad)}));
+  double outside = 0.0;
+  for (int64_t r : {1, 2, 4, 5, 9}) {
+    for (int64_t c = 0; c < grad.cols(); ++c) {
+      outside = std::max(outside, static_cast<double>(std::fabs(grad(r, c))));
+    }
+  }
+  EXPECT_GT(outside, 1e-2);
+}
+
+train::TrainConfig TinyModelConfig() {
+  train::TrainConfig cfg;
+  cfg.embedding_dim = 4;
+  cfg.num_layers = 3;
+  cfg.l2_reg = 0.1;
+  cfg.seed = 515;
+  return cfg;
+}
+
+TEST(ModelGradCheckTest, LayerGcnDegreeDropWithL2) {
+  train::TrainConfig cfg = TinyModelConfig();
+  cfg.edge_drop_kind = graph::EdgeDropKind::kDegreeDrop;
+  cfg.edge_drop_ratio = 0.2;
+  BatchLossProbe<core::LayerGcn> model;
+  ExpectBatchLossMatchesFiniteDifferences(&model, cfg);
+}
+
+TEST(ModelGradCheckTest, LightGcnSpMMChain) {
+  BatchLossProbe<models::LightGcn> model;
+  ExpectBatchLossMatchesFiniteDifferences(&model, TinyModelConfig());
 }
 
 }  // namespace
